@@ -423,8 +423,9 @@ pub struct ShareSeries {
     pub shared_secs: Vec<f64>,
     /// Fleet makespan, sharing off.
     pub private_secs: Vec<f64>,
-    /// Cross-query hit ratio with sharing on: signature imports over
-    /// imports plus physical builds, summed across the fleet.
+    /// Cross-query hit ratio with sharing on: shared hits (a query's
+    /// first hit on a product another query built) over shared hits
+    /// plus physical builds, summed across the fleet.
     pub hit_ratio: Vec<f64>,
     /// Whether every query's output bytes were bit-identical between
     /// the two modes at every fleet size.
@@ -442,10 +443,10 @@ impl ShareSeries {
 /// Runs the sharing figure: for each fleet size N in 1/2/4/8, N copies
 /// of the WCC aggregation attach to one [`SharedSource`] on one virtual
 /// clock and run through the interleaved deployment driver, once with
-/// `cross_query_sharing` on and once off. With sharing on the first
-/// query to need a `(pane, partition)` product builds and publishes it;
-/// the other N-1 import it through the signature directory, so the
-/// expected hit ratio approaches `(N-1)/N`. Outputs are compared
+/// `cross_query_sharing` on and once off. With sharing on the whole
+/// fleet shares the source's one cache layer: the first query to need a
+/// `(pane, partition)` product builds it and the other N-1 hit it there,
+/// so the expected hit ratio approaches `(N-1)/N`. Outputs are compared
 /// bit-for-bit between the two modes.
 pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
     let spec = spec(0.5);
@@ -515,21 +516,21 @@ pub fn fig_share(windows: u64, seed: u64) -> ShareSeries {
                 .collect();
             deployment.run().expect("share fleet run");
             let mut makespan = 0.0f64;
-            let mut imports = 0u64;
+            let mut shared_hits = 0u64;
             let mut builds = 0u64;
             let mut parts: Vec<Vec<u8>> = Vec::new();
             for &q in &qids {
                 for r in deployment.reports(q) {
                     makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
-                    imports += r.trace.shared_hits;
+                    shared_hits += r.trace.shared_hits;
                     builds += r.built_products as u64;
                     for p in &r.outputs {
                         parts.push(cluster.read(p).unwrap().to_vec());
                     }
                 }
             }
-            let ratio =
-                if imports + builds == 0 { 0.0 } else { imports as f64 / (imports + builds) as f64 };
+            let uses = shared_hits + builds;
+            let ratio = if uses == 0 { 0.0 } else { shared_hits as f64 / uses as f64 };
             (makespan, ratio, parts)
         };
         let (on_secs, on_ratio, on_parts) = run(true);
@@ -815,7 +816,7 @@ pub struct ScalePoint {
     /// Simulated makespan: latest `fired_at + response` over all
     /// queries and windows.
     pub makespan_secs: f64,
-    /// Cross-query cache hit ratio (imports / (imports + builds)).
+    /// Cross-query cache hit ratio (shared hits / (shared hits + builds)).
     pub hit_ratio: f64,
     /// All queries are the same aggregation, so their window outputs
     /// must agree byte-for-byte.
@@ -897,7 +898,7 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
         .collect();
     deployment.run().expect("scale deployment run");
     let mut makespan = 0.0f64;
-    let mut imports = 0u64;
+    let mut shared_hits = 0u64;
     let mut builds = 0u64;
     let mut outputs_consistent = true;
     let mut first: Option<Vec<Vec<u8>>> = None;
@@ -905,7 +906,7 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
         let mut parts: Vec<Vec<u8>> = Vec::new();
         for r in deployment.reports(q) {
             makespan = makespan.max((r.fired_at + r.response).as_secs_f64());
-            imports += r.trace.shared_hits;
+            shared_hits += r.trace.shared_hits;
             builds += r.built_products as u64;
             for p in &r.outputs {
                 parts.push(cluster.read(p).unwrap().to_vec());
@@ -917,7 +918,7 @@ pub fn scale_point(node_count: usize, queries: usize, windows: u64, seed: u64) -
         }
     }
     let hit_ratio =
-        if imports + builds == 0 { 0.0 } else { imports as f64 / (imports + builds) as f64 };
+        if shared_hits + builds == 0 { 0.0 } else { shared_hits as f64 / (shared_hits + builds) as f64 };
     ScalePoint {
         nodes: node_count,
         queries,
@@ -1131,7 +1132,7 @@ mod tests {
     fn sharing_is_exact_and_wins_on_a_small_fleet() {
         let s = fig_share(2, 11);
         assert!(s.outputs_match, "sharing must not change any query's outputs");
-        // N=1 has nobody to import from; N=4 imports 3 of every 4 uses.
+        // N=1 has nobody to share with; N=4 shares 3 of every 4 uses.
         assert_eq!(s.hit_ratio[0], 0.0, "{s:?}");
         assert!(s.hit_ratio[2] > 0.5, "{s:?}");
         assert!(s.gain_at(4) > 1.0, "sharing must beat private caches at N=4: {s:?}");

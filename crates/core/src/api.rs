@@ -152,8 +152,6 @@ pub struct QueryConf {
     pub num_reducers: usize,
     /// Output root; recurrence `i` writes `<root>/w{i}/part-r-*`.
     pub output_root: DfsPath,
-    /// This query's bit index in controller `doneQueryMask`s.
-    pub query_index: usize,
     /// Disambiguator folded into the cross-query operator fingerprint.
     /// Type identity cannot distinguish two closures carried behind the
     /// same function-pointer type; queries whose operators *look* alike
@@ -173,7 +171,6 @@ impl QueryConf {
             name: name.into(),
             num_reducers,
             output_root,
-            query_index: 0,
             share_tag: None,
         })
     }

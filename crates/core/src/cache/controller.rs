@@ -2,14 +2,18 @@
 //!
 //! A master-side component holding one *cache signature* per cache file:
 //! which node stores it, its readiness (`0` not available, `1` HDFS
-//! available, `2` cache available), and a `doneQueryMask` with one bit per
-//! registered query. When every bit is set the cache is expired and a
-//! purge notification is issued to the owning node's Local Cache Registry.
+//! available, `2` cache available), and a `doneQueryMask`. Every query
+//! attached to the controller owns one mask bit, and every operator
+//! fingerprint keeps the mask of the queries consuming it. When a
+//! cache's `doneQueryMask` covers its fingerprint's consumer mask the
+//! cache is expired and a purge notification is issued to the owning
+//! node's Local Cache Registry — so a pane shared by several queries
+//! lives until the last of them is done with it.
 //!
 //! Capacity: the controller optionally enforces a per-node byte budget
-//! through a pluggable [`CachePolicy`] — registrations and adoptions
-//! consult the policy, which may evict residents (`evict` journal
-//! events) or refuse the newcomer (`admit_reject`). The default
+//! through a pluggable [`CachePolicy`] — registrations consult the
+//! policy, which may evict residents (`evict` journal events) or refuse
+//! the newcomer (`admit_reject`). The default
 //! configuration (unbounded budget, [`WindowLifespanPolicy`]) is
 //! bit-identical to the pre-policy lifecycle.
 //!
@@ -45,6 +49,10 @@ pub struct CacheSignature {
     pub ready: Ready,
     /// Bit `q` set when query `q` no longer needs this cache.
     pub done_query_mask: u64,
+    /// Bit `q` set once query `q` registered or consumed this cache
+    /// since its last registration: a query's first hit on a product
+    /// another query built is a cross-query (shared) hit.
+    pub seen_by: u64,
     /// Cached object size in bytes (for scheduling affinity estimates).
     pub bytes: u64,
     /// Size of the source data that would have to be re-read, re-mapped,
@@ -79,7 +87,7 @@ pub struct PurgeNotification {
     pub name: CacheName,
 }
 
-/// Outcome of a capacity-checked registration or adoption.
+/// Outcome of a capacity-checked registration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Admission {
     /// Whether the cache is now tracked as materialized on its node.
@@ -92,13 +100,6 @@ pub struct Admission {
     /// (driver) must reclaim them: mark them expired in their node
     /// registries so the next purge scan deletes the files.
     pub evicted: Vec<(NodeId, CacheName)>,
-}
-
-impl Admission {
-    /// The unbounded-capacity fast path: admitted, nobody displaced.
-    fn clean() -> Self {
-        Admission { admitted: true, evicted: Vec::new() }
-    }
 }
 
 /// Per-node slice of the controller's index: the materialized caches a
@@ -115,8 +116,8 @@ struct NodeCaches {
 /// Master-side registry of every cache in the system.
 #[derive(Debug)]
 pub struct CacheController {
-    query_count: usize,
-    full_mask: u64,
+    /// Fingerprint each attached query's bit is bound to, by bit.
+    bound: Vec<u64>,
     sigs: BTreeMap<CacheName, CacheSignature>,
     /// Materialized (`ready == CacheAvailable`) caches per holding node.
     by_node: HashMap<NodeId, NodeCaches>,
@@ -126,8 +127,8 @@ pub struct CacheController {
     by_pane: HashMap<(u32, u64), BTreeSet<CacheName>>,
     /// Per-node byte budget (`u64::MAX` = unbounded, the default).
     capacity: u64,
-    /// Admission/eviction arbiter consulted when a registration or
-    /// adoption would exceed `capacity` on its node.
+    /// Admission/eviction arbiter consulted when a registration would
+    /// exceed `capacity` on its node.
     policy: Box<dyn CachePolicy>,
     trace: TraceSink,
 }
@@ -142,15 +143,18 @@ fn pane_key(name: &CacheName) -> Option<(u32, u64)> {
     }
 }
 
+impl Default for CacheController {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CacheController {
-    /// Controller for `query_count` registered queries (1..=64). Picks up
-    /// the process-wide trace sink, if one is installed.
-    pub fn new(query_count: usize) -> Self {
-        assert!((1..=64).contains(&query_count));
-        let full_mask = if query_count == 64 { u64::MAX } else { (1u64 << query_count) - 1 };
+    /// Controller with no attached queries. Picks up the process-wide
+    /// trace sink, if one is installed.
+    pub fn new() -> Self {
         CacheController {
-            query_count,
-            full_mask,
+            bound: Vec::new(),
             sigs: BTreeMap::new(),
             by_node: HashMap::new(),
             by_pane: HashMap::new(),
@@ -160,7 +164,33 @@ impl CacheController {
         }
     }
 
-    /// Installs the capacity policy consulted on register/adopt.
+    /// Attaches a query consuming caches of fingerprint `fp` and returns
+    /// its `doneQueryMask` bit. At most 64 queries share one controller.
+    pub fn attach_query(&mut self, fp: u64) -> Result<u32> {
+        let bit = self.bound.len() as u32;
+        if bit >= u64::BITS {
+            return Err(RedoopError::InvalidQuery(
+                "at most 64 queries can share one cache layer".into(),
+            ));
+        }
+        self.bound.push(fp);
+        Ok(bit)
+    }
+
+    /// Moves query `bit` to fingerprint `fp` (its cache names changed,
+    /// e.g. cross-query sharing was switched off before the first
+    /// window): it stops holding caches of its former fingerprint.
+    pub fn bind_query(&mut self, bit: u32, fp: u64) {
+        self.bound[bit as usize] = fp;
+    }
+
+    /// The consumer mask of fingerprint `fp`: bits of every attached
+    /// query whose caches carry it.
+    pub fn consumers(&self, fp: u64) -> u64 {
+        self.bound.iter().enumerate().filter(|&(_, &f)| f == fp).fold(0, |m, (bit, _)| m | 1 << bit)
+    }
+
+    /// Installs the capacity policy consulted on registration.
     pub fn set_policy(&mut self, policy: Box<dyn CachePolicy>) {
         self.policy = policy;
     }
@@ -195,6 +225,7 @@ impl CacheController {
                 node: None,
                 ready: Ready::NotAvailable,
                 done_query_mask: 0,
+                seen_by: 0,
                 bytes: 0,
                 rebuild_bytes: 0,
                 available_at: SimTime::ZERO,
@@ -240,11 +271,6 @@ impl CacheController {
     /// The trace sink in force.
     pub fn trace(&self) -> &TraceSink {
         &self.trace
-    }
-
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.query_count
     }
 
     /// Declares that `name`'s source data is loaded in HDFS (ready = 1).
@@ -298,6 +324,7 @@ impl CacheController {
                 sig.available_at = at;
                 sig.salvaged = None;
                 sig.last_used = at;
+                sig.seen_by = 0;
                 self.index_holder(name, node, bytes);
                 self.policy.charge(&name, at);
                 self.trace.emit(|| TraceEvent::Cache {
@@ -313,49 +340,6 @@ impl CacheController {
         }
     }
 
-    /// Adopts a cache built by *another* query's executor (discovered
-    /// through the shared source's signature directory): the signature
-    /// becomes CacheAvailable exactly as after a registration, but no
-    /// `Register` trace event is emitted — the driver records the
-    /// adoption as a `shared_hit` instead, so `Register` events in the
-    /// journal count actual builds only.
-    ///
-    /// Capacity: adoption never evicts (the file already exists on the
-    /// remote node; this query merely starts tracking it). If the bytes
-    /// do not fit this controller's budget for `node`, the adoption is
-    /// refused (`admit_reject`) and the caller falls back to a miss.
-    pub fn adopt_remote(
-        &mut self,
-        name: CacheName,
-        node: NodeId,
-        bytes: u64,
-        rebuild_bytes: u64,
-        at: SimTime,
-    ) -> Admission {
-        if self.capacity != u64::MAX {
-            let held = self.held_bytes(&name, node);
-            let incoming = self.stats_for(&name, bytes, rebuild_bytes, at);
-            let fits = bytes <= self.capacity
-                && self.bytes_on(node) - held + bytes <= self.capacity
-                && self.policy.admit(&incoming);
-            if !fits {
-                return self.reject(name, node, bytes, rebuild_bytes, at);
-            }
-        }
-        let sig = Self::sig_entry(&mut self.sigs, &mut self.by_pane, name);
-        Self::unindex_holder(&mut self.by_node, &name, sig);
-        sig.node = Some(node);
-        sig.ready = Ready::CacheAvailable;
-        sig.bytes = bytes;
-        sig.rebuild_bytes = rebuild_bytes.max(bytes);
-        sig.available_at = at;
-        sig.salvaged = None;
-        sig.last_used = at;
-        self.index_holder(name, node, bytes);
-        self.policy.charge(&name, at);
-        Admission::clean()
-    }
-
     /// Bytes an existing same-node copy of `name` holds — freed by the
     /// overwrite, so excluded from the usage a (re)registration is
     /// charged against.
@@ -369,8 +353,9 @@ impl CacheController {
     /// Policy-visible snapshot of an incoming cache (existing signature
     /// state merged with the incoming registration's fields).
     fn stats_for(&self, name: &CacheName, bytes: u64, rebuild_bytes: u64, at: SimTime) -> CacheStats {
-        let (votes, uses) = self.sigs.get(name).map_or((self.query_count as u32, 0), |s| {
-            ((self.full_mask & !s.done_query_mask).count_ones(), s.remaining_uses)
+        let consumers = self.consumers(name.fp);
+        let (votes, uses) = self.sigs.get(name).map_or((consumers.count_ones(), 0), |s| {
+            ((consumers & !s.done_query_mask).count_ones(), s.remaining_uses)
         });
         CacheStats {
             name: *name,
@@ -389,7 +374,7 @@ impl CacheController {
             name: *name,
             bytes: sig.bytes,
             rebuild_bytes: sig.rebuild_bytes,
-            remaining_votes: (self.full_mask & !sig.done_query_mask).count_ones(),
+            remaining_votes: (self.consumers(name.fp) & !sig.done_query_mask).count_ones(),
             remaining_uses: sig.remaining_uses,
             last_used: sig.last_used,
         })
@@ -517,6 +502,17 @@ impl CacheController {
         self.policy.charge(name, at);
     }
 
+    /// Records that query `bit` consumed `name`. Returns whether this is
+    /// the query's first consumption since the cache was (re)registered
+    /// — for a cache another query built, a cross-query hit.
+    pub fn mark_seen(&mut self, name: &CacheName, bit: u32) -> bool {
+        self.sigs.get_mut(name).is_some_and(|sig| {
+            let first = sig.seen_by & (1 << bit) == 0;
+            sig.seen_by |= 1 << bit;
+            first
+        })
+    }
+
     /// Sets the executor-maintained window-lifespan estimate for `name`
     /// (how many future recurrences will consume it), creating the
     /// signature if needed so the estimate is visible to the admission
@@ -577,22 +573,23 @@ impl CacheController {
             .and_then(|s| s.node)
     }
 
-    /// Marks query `q` as finished with `name`. Returns a purge
-    /// notification when the mask fills (the cache is expired for every
-    /// query).
-    pub fn mark_query_done(&mut self, name: CacheName, q: usize) -> Result<Option<PurgeNotification>> {
-        if q >= self.query_count {
+    /// Marks query `bit` as finished with `name`. Returns a purge
+    /// notification when the mask covers every consumer of the name's
+    /// fingerprint (the cache is expired for every query).
+    pub fn mark_query_done(&mut self, name: CacheName, bit: u32) -> Result<Option<PurgeNotification>> {
+        if bit as usize >= self.bound.len() {
             return Err(RedoopError::CacheInconsistency(format!(
-                "query index {q} out of range ({} registered)",
-                self.query_count
+                "query bit {bit} out of range ({} attached)",
+                self.bound.len()
             )));
         }
+        let full = self.consumers(name.fp) | 1 << bit;
         let sig = self.sigs.get_mut(&name).ok_or_else(|| {
             RedoopError::CacheInconsistency(format!("mark_query_done on unknown cache {name:?}"))
         })?;
-        let was_full = sig.done_query_mask == self.full_mask;
-        sig.done_query_mask |= 1 << q;
-        if sig.done_query_mask == self.full_mask {
+        let was_full = sig.done_query_mask & full == full;
+        sig.done_query_mask |= 1 << bit;
+        if sig.done_query_mask & full == full {
             if !was_full {
                 let (node, bytes) = (sig.node, sig.bytes);
                 self.trace.emit(|| TraceEvent::Cache {
@@ -610,11 +607,11 @@ impl CacheController {
         Ok(None)
     }
 
-    /// Whether every query has finished with `name`.
+    /// Whether every consumer of `name`'s fingerprint has finished with
+    /// it.
     pub fn is_expired(&self, name: &CacheName) -> bool {
-        self.sigs
-            .get(name)
-            .is_some_and(|s| s.done_query_mask == self.full_mask)
+        let full = self.consumers(name.fp);
+        self.sigs.get(name).is_some_and(|s| s.done_query_mask & full == full)
     }
 
     /// Failure rollback (paper §5): all caches on `node` are lost — their
@@ -731,7 +728,7 @@ mod tests {
 
     #[test]
     fn readiness_lifecycle() {
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         let n = name(0, 0);
         assert!(c.location(&n).is_none());
         c.note_hdfs_available(n);
@@ -747,7 +744,9 @@ mod tests {
 
     #[test]
     fn done_mask_fills_then_purges() {
-        let mut c = CacheController::new(2);
+        let mut c = CacheController::new();
+        assert_eq!(c.attach_query(0).unwrap(), 0);
+        assert_eq!(c.attach_query(0).unwrap(), 1);
         let n = name(1, 0);
         c.register_cache(n, NodeId(0), 10, SimTime::ZERO);
         assert_eq!(c.mark_query_done(n, 0).unwrap(), None);
@@ -762,15 +761,16 @@ mod tests {
 
     #[test]
     fn mark_done_errors_are_reported() {
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
+        c.attach_query(0).unwrap();
         assert!(c.mark_query_done(name(0, 0), 0).is_err(), "unknown cache");
         c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
-        assert!(c.mark_query_done(name(0, 0), 5).is_err(), "query out of range");
+        assert!(c.mark_query_done(name(0, 0), 5).is_err(), "query not attached");
     }
 
     #[test]
     fn rollback_downgrades_only_the_failed_node() {
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         c.register_cache(name(0, 0), NodeId(0), 1, SimTime::ZERO);
         c.register_cache(name(1, 0), NodeId(1), 1, SimTime::ZERO);
         c.register_cache(name(2, 0), NodeId(0), 1, SimTime::ZERO);
@@ -782,7 +782,7 @@ mod tests {
 
     #[test]
     fn bytes_on_tracks_node_usage() {
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         c.register_cache(name(0, 0), NodeId(2), 100, SimTime::ZERO);
         c.register_cache(name(0, 1), NodeId(2), 50, SimTime::ZERO);
         c.register_cache(name(1, 0), NodeId(3), 7, SimTime::ZERO);
@@ -793,34 +793,28 @@ mod tests {
     }
 
     #[test]
-    fn adopt_remote_is_a_silent_registration() {
-        let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
-        c.set_trace_sink(sink.clone());
+    fn first_consumption_per_registration_is_flagged() {
+        let mut c = CacheController::new();
         let n = name(4, 0);
-        c.adopt_remote(n, NodeId(5), 64, 256, SimTime(9));
-        // Scheduler-visible state matches a real registration...
-        assert_eq!(c.location(&n), Some(NodeId(5)));
-        let sig = c.signature(&n).unwrap();
-        assert_eq!((sig.bytes, sig.rebuild_bytes, sig.available_at), (64, 256, SimTime(9)));
-        // ...but no Register event reached the journal, so Register
-        // counts remain "builds only".
-        assert!(
-            sink.events().is_empty(),
-            "adoption must not forge a Register event"
-        );
-        c.register_cache(n, NodeId(5), 64, SimTime(10));
-        assert_eq!(sink.events().len(), 1);
+        assert!(!c.mark_seen(&n, 0), "unknown caches are never seen");
+        c.register_cache(n, NodeId(5), 64, SimTime(9));
+        assert!(c.mark_seen(&n, 0), "the builder's own registration");
+        assert!(!c.mark_seen(&n, 0));
+        assert!(c.mark_seen(&n, 1), "another query's first hit");
+        assert!(!c.mark_seen(&n, 1));
+        // A rebuild is a new product: every query's next hit is a first.
+        c.register_cache(n, NodeId(2), 64, SimTime(10));
+        assert!(c.mark_seen(&n, 1));
     }
 
     #[test]
     fn indexes_mirror_the_signature_table_under_random_churn() {
         // Every index answer (names_on, bytes_on, names_for_pane) must
         // equal the corresponding full-table scan after any interleaving
-        // of registrations, adoptions, invalidations, rollbacks, and
+        // of registrations, invalidations, rollbacks, and
         // forgets — including re-registrations that move a cache between
         // nodes.
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         let mut rng: u64 = 0xdead_beef_cafe_f00d;
         let mut next = move || {
             rng ^= rng << 13;
@@ -838,7 +832,13 @@ mod tests {
                     c.register_cache(n, node, 1 + next() % 999, SimTime::ZERO);
                 }
                 2 => {
-                    c.adopt_remote(n, node, 1 + next() % 999, next() % 4000, SimTime::ZERO);
+                    c.register_cache_with_rebuild(
+                        n,
+                        node,
+                        1 + next() % 999,
+                        next() % 4000,
+                        SimTime::ZERO,
+                    );
                 }
                 3 => {
                     c.invalidate(&n);
@@ -881,7 +881,11 @@ mod tests {
 
     #[test]
     fn full_64_query_mask() {
-        let mut c = CacheController::new(64);
+        let mut c = CacheController::new();
+        for q in 0..64 {
+            assert_eq!(c.attach_query(0).unwrap(), q);
+        }
+        assert!(c.attach_query(0).is_err(), "a 65th query has no mask bit");
         let n = name(0, 0);
         c.register_cache(n, NodeId(0), 1, SimTime::ZERO);
         for q in 0..63 {
@@ -903,7 +907,7 @@ mod tests {
     #[test]
     fn baseline_rejects_over_budget_without_evicting() {
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         c.set_trace_sink(sink.clone());
         c.set_capacity(Some(100));
         assert!(c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1)).admitted);
@@ -925,7 +929,7 @@ mod tests {
     fn lru_evicts_the_stalest_resident_to_fit() {
         use super::super::policy::LruPolicy;
         let sink = TraceSink::enabled();
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         c.set_trace_sink(sink.clone());
         c.set_policy(Box::new(LruPolicy));
         c.set_capacity(Some(100));
@@ -953,7 +957,7 @@ mod tests {
             CachePolicyKind::CostBased.build(&CostModel::default()),
         ];
         for policy in policies {
-            let mut c = CacheController::new(1);
+            let mut c = CacheController::new();
             c.set_policy(policy);
             c.set_capacity(Some(100));
             c.register_cache(name(0, 0), NodeId(0), 60, SimTime(1));
@@ -965,28 +969,8 @@ mod tests {
     }
 
     #[test]
-    fn adoption_checks_admission_but_never_evicts() {
-        use super::super::policy::LruPolicy;
-        let mut c = CacheController::new(2);
-        c.set_policy(Box::new(LruPolicy));
-        c.set_capacity(Some(100));
-        c.register_cache(name(0, 0), NodeId(0), 80, SimTime(1));
-        // Over budget: even the always-evicting policy must not displace
-        // a resident for an *adoption* — the cache already exists on a
-        // peer, so refusing costs one remote re-import, not a rebuild.
-        let adm = c.adopt_remote(name(1, 0), NodeId(0), 40, 40, SimTime(2));
-        assert!(!adm.admitted);
-        assert!(adm.evicted.is_empty());
-        assert_eq!(c.location(&name(0, 0)), Some(NodeId(0)));
-        assert_eq!(c.bytes_on(NodeId(0)), 80);
-        // Within budget the adoption lands silently, as before.
-        assert!(c.adopt_remote(name(2, 0), NodeId(1), 40, 40, SimTime(3)).admitted);
-        assert_eq!(c.location(&name(2, 0)), Some(NodeId(1)));
-    }
-
-    #[test]
     fn window_hits_consume_the_remaining_use_forecast() {
-        let mut c = CacheController::new(1);
+        let mut c = CacheController::new();
         let n = name(0, 0);
         c.note_remaining_uses(n, 3);
         c.register_cache(n, NodeId(0), 10, SimTime(1));

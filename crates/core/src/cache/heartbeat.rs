@@ -221,7 +221,7 @@ mod tests {
     fn dead_node_heartbeat_rolls_back_everything() {
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         cluster.put_local(NodeId(0), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
         reg.add_entry(name(0), 1);
         ctl.register_cache(name(0), NodeId(0), 1, SimTime::ZERO);
@@ -237,7 +237,7 @@ mod tests {
     fn controller_invalidates_missing_caches_on_live_nodes() {
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         // Two caches registered; only one file survives.
         cluster.put_local(NodeId(1), name(0).store_name(), Bytes::from_static(b"x")).unwrap();
         reg.add_entry(name(0), 1);
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn large_reconciliation_invalidates_exactly_the_missing_names() {
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         // 1000 caches on one node; the heartbeat reports only the even
         // panes. Reconciliation must invalidate the odd ones, precisely.
         let mut held = Vec::new();
@@ -285,7 +285,7 @@ mod tests {
 
         let cluster = Cluster::with_nodes(2);
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
 
         // A framed cache with several frames, plus a legacy blob.
         let mut groups: Grouped<String, u64> = Grouped::default();
@@ -334,7 +334,7 @@ mod tests {
     fn heartbeats_ignore_other_nodes_caches() {
         let cluster = Cluster::with_nodes(3);
         let mut reg = LocalCacheRegistry::new(NodeId(2), PurgePolicy::default());
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.register_cache(name(5), NodeId(0), 1, SimTime::ZERO);
         let hb = reg.heartbeat(&cluster); // node 2 holds nothing
         let lost = ctl.apply_heartbeat(&hb);
@@ -348,7 +348,7 @@ mod tests {
         use crate::cache::policy::LruPolicy;
 
         let cluster = Cluster::with_nodes(2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.set_policy(Box::new(LruPolicy));
         ctl.set_capacity(Some(100));
         let mut reg = LocalCacheRegistry::new(NodeId(1), PurgePolicy::default());

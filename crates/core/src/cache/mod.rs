@@ -1,13 +1,13 @@
 //! Window-aware caching (paper §4): cache identities, the per-node Local
 //! Cache Registry, the master-side Window-Aware Cache Controller, the
-//! per-query cache status matrix, lifecycle/purge policies ([`policy`]),
-//! and the cross-query signature directory ([`share`]).
+//! [`layer`] bundling both for every query on one source, the per-query
+//! cache status matrix, and lifecycle/purge policies ([`policy`]).
 
 pub mod controller;
 pub mod heartbeat;
+pub mod layer;
 pub mod policy;
 pub mod registry;
-pub mod share;
 pub mod status_matrix;
 
 use crate::pane::PaneId;
@@ -103,7 +103,7 @@ impl CacheObject {
 /// map/reduce operators, partitioner, reducer count, and pane geometry
 /// coincide compute the same fingerprint over a shared source, so their
 /// plans name — and therefore reuse — the same cache files. A
-/// fingerprint of `0` means "private, per-query-slot identity" and
+/// fingerprint of `0` (the first owned-source query on a cluster)
 /// renders the legacy `ri|ro|po|rd/...` store names unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheName {
@@ -111,7 +111,7 @@ pub struct CacheName {
     pub object: CacheObject,
     /// The reduce partition of the object held in this file.
     pub partition: usize,
-    /// Operator fingerprint (0 = private/unshared legacy identity).
+    /// Operator fingerprint (0 = legacy unprefixed identity).
     pub fp: u64,
 }
 
@@ -129,7 +129,7 @@ impl CacheName {
 
     /// Node-local store name. Fingerprinted identities live under a
     /// `q{fp:016x}/` prefix so signature-equivalent queries resolve to
-    /// the same file while private queries keep their legacy names.
+    /// the same file while fingerprint 0 keeps the legacy names.
     pub fn store_name(&self) -> String {
         if self.fp == 0 {
             self.object.store_name(self.partition)

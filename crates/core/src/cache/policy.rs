@@ -6,8 +6,8 @@
 //! The paper's lifecycle is expire-only and assumes unbounded node-local
 //! storage. At production scale every node has a byte budget, so the
 //! [`CacheController`] consults a policy whenever a cache is registered
-//! or adopted on a node whose tracked bytes would exceed the configured
-//! per-node capacity:
+//! on a node whose tracked bytes would exceed the configured per-node
+//! capacity:
 //!
 //! * **admit** — a veto on the incoming cache before any resident is
 //!   displaced (a cache larger than the whole budget is always refused
@@ -57,8 +57,9 @@ pub struct CacheStats {
     /// Text-equivalent bytes a rebuild would have to process (≥ `bytes`
     /// for reduce-output caches).
     pub rebuild_bytes: u64,
-    /// Outstanding done-vote balance: how many sharing queries have not
-    /// yet voted the cache done (`full_mask & !done_query_mask`).
+    /// Outstanding done-vote balance: how many consumers of the cache's
+    /// fingerprint have not yet marked it done
+    /// (`consumers & !done_query_mask`).
     pub remaining_votes: u32,
     /// Window-lifespan estimate: how many future recurrences are still
     /// expected to consume the cache (0 when it expires with the

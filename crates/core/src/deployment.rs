@@ -334,9 +334,10 @@ impl<'a> RecurringDeployment<'a> {
 
     /// Applies one cache lifecycle policy + per-node capacity budget to
     /// every deployed query (call after the last
-    /// [`RecurringDeployment::add_query`]). Each query's controller gets
-    /// its own policy instance built from the shared budget, so eviction
-    /// state never leaks across queries.
+    /// [`RecurringDeployment::add_query`]). Queries on one
+    /// [`SharedSource`] share one cache layer, so the budget bounds the
+    /// bytes the whole fleet keeps resident on each node; a query that
+    /// owns its sources applies it to its private layer.
     pub fn set_cache_policy(&mut self, budget: CacheBudget) {
         for q in &mut self.queries {
             q.query.set_cache_policy(budget);
@@ -528,10 +529,10 @@ mod tests {
         use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 
         // Overlap 0.75 (pane 100ms, window 400ms) and a 2-query fleet
-        // over one shared source: the first query to fire builds and
-        // publishes each (pane, partition) product, the second imports
-        // it, and window expiry is deferred until the last consumer
-        // votes done.
+        // over one shared source: the first query to fire builds each
+        // (pane, partition) product, the second hits it in the shared
+        // cache layer, and a product expires only once both queries
+        // have set their done bits.
         let spec = WindowSpec::new(400, 100).unwrap();
         let windows = 6u64;
         let data: Vec<ArrivalBatch> = (0..windows + 3)
@@ -642,10 +643,21 @@ mod tests {
         let evicted: Vec<_> =
             history.iter().filter(|(_, h)| h.contains(&CacheAction::Evict)).collect();
         assert!(!evicted.is_empty(), "the tight budget must actually evict");
-        assert!(
-            history.values().flatten().any(|a| *a == CacheAction::ExpireDeferred),
-            "the shared fleet must exercise deferred expiry"
-        );
+        // Each shared product expires once, after every consumer's last
+        // hit on it — the first query's done bit kept it for the second.
+        let mut expired = 0;
+        for h in history.values() {
+            let expires: Vec<usize> =
+                (0..h.len()).filter(|&i| h[i] == CacheAction::Expire).collect();
+            assert!(expires.len() <= 1, "a shared product expired twice: {h:?}");
+            if let (Some(&e), Some(last_hit)) =
+                (expires.first(), h.iter().rposition(|a| *a == CacheAction::Hit))
+            {
+                assert!(e > last_hit, "expired before its last consumer's hit: {h:?}");
+                expired += 1;
+            }
+        }
+        assert!(expired > 0, "the run must retire shared products");
         assert!(
             history.values().flatten().any(|a| *a == CacheAction::SharedHit),
             "sharing must survive the capacity pressure"

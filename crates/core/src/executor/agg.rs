@@ -178,7 +178,7 @@ where
                     // frames on disk: the §5 rollback classifies it as
                     // partially recoverable and this rebuild pays only
                     // the missing frame suffix.
-                    let salvage = self.controller.salvaged(&name);
+                    let salvage = self.cache.lock().controller.salvaged(&name);
                     let ready = ctx
                         .fire
                         .max(prev_end)
@@ -282,7 +282,7 @@ where
                 output_name(plan.fp, 0, p, r)
             };
             let fresh = prep.missing_set.contains(&(0, p.0));
-            if let Some(sig) = self.controller.signature(&name) {
+            if let Some(sig) = self.cache.lock().controller.signature(&name) {
                 // Every pane partial gates readiness: fresh builds by
                 // their build task's end, reused caches by their original
                 // registration (which can stall the merge when a previous

@@ -86,11 +86,11 @@ impl<K, V> DeltaMaintenance<K, V> {
 }
 
 /// Store name of the `.open` sentinel marking unsealed delta state of
-/// `(pane, partition)` on its home node. The sentinel, not the in-memory
-/// state, is what a §5 node loss destroys — its absence at seal time is
-/// the loss signal.
-fn sentinel_name(pane: u64, r: usize) -> String {
-    format!("rd/s0p{pane}/r{r}.open")
+/// `(pane, partition)` on its home node, under fingerprint `fp`. The
+/// sentinel, not the in-memory state, is what a §5 node loss destroys —
+/// its absence at seal time is the loss signal.
+fn sentinel_name(fp: u64, pane: u64, r: usize) -> String {
+    format!("{}.open", delta_name(fp, 0, PaneId(pane), r).store_name())
 }
 
 /// Conserved integer split: partition `r`'s share of `total` spread over
@@ -130,9 +130,10 @@ where
                 return n;
             }
         }
-        let caches = self
-            .controller
-            .names_matching(|n| n.partition == r && matches!(n.object, CacheObject::PaneDelta { .. }));
+        let fp = self.active_fp();
+        let caches = self.cache.lock().controller.names_matching(|n| {
+            n.fp == fp && n.partition == r && matches!(n.object, CacheObject::PaneDelta { .. })
+        });
         let node = if caches.is_empty() {
             // First fold with no delta affinity yet: every partition asks
             // at the same arrival instant with identical reduce loads, so
@@ -213,7 +214,8 @@ where
                 groups += self.delta.open[pane].parts[r].len() as u64;
                 let node = homes[r];
                 if first_fold {
-                    self.cluster.put_local(node, sentinel_name(*pane, r), Bytes::from_static(b"open"))?;
+                    let sentinel = sentinel_name(self.active_fp(), *pane, r);
+                    self.cluster.put_local(node, sentinel, Bytes::from_static(b"open"))?;
                 }
                 let work = MapWork {
                     split_bytes: share(batch_bytes, r, num_reducers),
@@ -267,7 +269,7 @@ where
             let ready_floor = open.ready.max(SimTime::from_millis(pane_close.0));
             let mut sealed_all = true;
             for (r, pairs) in open.parts.into_iter().enumerate() {
-                let sentinel = sentinel_name(p, r);
+                let sentinel = sentinel_name(self.active_fp(), p, r);
                 let home = self.delta.homes[r];
                 let valid = complete
                     && home.is_some_and(|n| {
@@ -298,10 +300,7 @@ where
                 };
                 let phases = work.phases_in_attempt(self.sim.cost(), true);
                 let placement = self.sim.assign(TaskKind::Reduce, node, ready_floor, phases.total());
-                // Delta maintenance requires an owned, un-shared source
-                // (`delta_enabled`), so sealed deltas are never
-                // fingerprinted.
-                let name = delta_name(0, 0, PaneId(p), r);
+                let name = delta_name(self.active_fp(), 0, PaneId(p), r);
                 self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
                 self.register(name, node, built.cache_text_bytes, placement.end);
                 self.trace.emit(|| TraceEvent::TaskSpan {

@@ -28,6 +28,10 @@
 //! §5 recovery (the heartbeat audit rolling lost caches back to
 //! HDFS-available) and the post-window expiry/purge sweep live here
 //! too: they are driver concerns — bookkeeping between plan executions.
+//! Both act on the executor's cache layer, which every query on a
+//! shared source holds: a hit on a cache another query built is an
+//! ordinary controller hit, and expiry casts this query's
+//! `doneQueryMask` bit.
 
 use std::collections::{HashMap, HashSet};
 
@@ -40,7 +44,7 @@ use redoop_mapred::{
 };
 
 use crate::adaptive::ExecMode;
-use crate::cache::controller::PurgeNotification;
+use crate::cache::controller::CacheController;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
 use crate::pane::PaneId;
@@ -223,10 +227,6 @@ where
         metrics: &mut JobMetrics,
     ) -> Result<PartitionPrep> {
         let names = plan.required_caches(r);
-        // Cross-query import: required caches another query already
-        // built under the same signature become local hits *before*
-        // placement, so the Eq. 4 anchor credits the remote holder.
-        self.import_shared(&names, ctx.fire);
         let kind_label = match plan.kind {
             PlanKind::Aggregation => "agg",
             PlanKind::BinaryJoin => "join",
@@ -239,6 +239,11 @@ where
         let mut todo_pairs: Vec<(PaneId, PaneId)> = Vec::new();
         let mut todo_set: HashSet<(u64, u64)> = HashSet::new();
         let mut delta_hits: HashSet<u64> = HashSet::new();
+        let cache = self.cache.clone();
+        let mut layer = cache.lock();
+        let cached_on = |ctl: &CacheController, name: &CacheName| {
+            ctl.location(name) == Some(node)
+        };
         for pnode in plan.partition_nodes(r) {
             let name = match pnode.task {
                 PlanTask::BuildPane { .. }
@@ -251,14 +256,14 @@ where
             // plain reduce-output cache a previous window's rebuild left.
             let mut hit_name = name;
             let hit = match pnode.task {
-                PlanTask::BuildPane { .. } => self.cached_on(&name, node),
+                PlanTask::BuildPane { .. } => cached_on(&layer.controller, &name),
                 PlanTask::FoldDelta { source, pane, .. } => {
-                    if self.cached_on(&name, node) {
+                    if cached_on(&layer.controller, &name) {
                         delta_hits.insert(pane.0);
                         true
                     } else {
                         let fallback = super::plan::output_name(plan.fp, source, pane, r);
-                        let fallback_hit = self.cached_on(&fallback, node);
+                        let fallback_hit = cached_on(&layer.controller, &fallback);
                         if fallback_hit {
                             hit_name = fallback;
                         }
@@ -266,11 +271,11 @@ where
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
-                    self.matrix.is_done(&[left, right]) && self.cached_on(&name, node)
+                    self.matrix.is_done(&[left, right]) && cached_on(&layer.controller, &name)
                 }
                 _ => unreachable!(),
             };
-            let bytes = self.controller.signature(&hit_name).map_or(0, |s| s.bytes);
+            let bytes = layer.controller.signature(&hit_name).map_or(0, |s| s.bytes);
             self.trace.emit(|| TraceEvent::Cache {
                 at: ctx.fire,
                 action: if hit { CacheAction::Hit } else { CacheAction::Miss },
@@ -281,7 +286,25 @@ where
             if hit {
                 // Recency feedback for the eviction policy (no trace
                 // event, so journals are unchanged by the stamp).
-                self.controller.touch(&hit_name, ctx.fire);
+                layer.controller.touch(&hit_name, ctx.fire);
+                // A query's first hit on a product another query built
+                // (builders mark their own at registration) is a
+                // cross-query hit. The pane now counts as processed here,
+                // so this query's expiry sweep will cast its done bit.
+                if layer.controller.mark_seen(&hit_name, self.cache_bit) {
+                    self.win_stats.shared_hits += 1;
+                    self.trace.emit(|| TraceEvent::Cache {
+                        at: ctx.fire,
+                        action: CacheAction::SharedHit,
+                        name: hit_name.store_name(),
+                        node: Some(node),
+                        bytes,
+                    });
+                    if let Some((source, pane)) = pane_of(&hit_name) {
+                        self.built_panes.insert((source, pane.0));
+                        self.matrix.mark_done(&[pane]);
+                    }
+                }
                 self.window_reused += 1;
                 self.win_stats.cache_hits += 1;
                 continue;
@@ -306,6 +329,7 @@ where
                 _ => unreachable!(),
             }
         }
+        drop(layer);
 
         // Map stage for missing panes. Membership is a set probe, not a
         // scan over the window's pane list.
@@ -367,13 +391,14 @@ where
             node
         } else if !self.trace.is_enabled() {
             let cost = self.sim.cost().clone();
-            let holders = cache_holders(&self.controller, caches);
+            let layer = self.cache.lock();
+            let controller = &layer.controller;
+            let holders = cache_holders(controller, caches);
             let mut skip: Vec<usize> = holders.iter().map(|n| n.index()).collect();
             skip.extend(self.cluster.dead_node_indexes());
             skip.sort_unstable();
             skip.dedup();
             let best_other = self.sim.pick_min_clamped(TaskKind::Reduce, floor, &skip);
-            let controller = &self.controller;
             argmin_shortlist(
                 &holders,
                 |n| self.cluster.is_alive(n),
@@ -389,7 +414,8 @@ where
             let alive = self.alive_vec();
             let ctx = SchedulerCtx { loads: &loads, alive: &alive };
             let cost = self.sim.cost().clone();
-            let controller = &self.controller;
+            let layer = self.cache.lock();
+            let controller = &layer.controller;
             let affinity = move |n: NodeId| cache_affinity(controller, caches, n, &cost);
             let node = self.scheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
             self.trace.emit(|| TraceEvent::Placement {
@@ -411,7 +437,8 @@ where
             node
         };
         self.win_stats.placements_total += 1;
-        if caches.iter().any(|n| self.controller.location(n) == Some(node)) {
+        let layer = self.cache.lock();
+        if caches.iter().any(|n| layer.controller.location(n) == Some(node)) {
             self.win_stats.placements_cache_local += 1;
         }
         node
@@ -724,143 +751,29 @@ where
 
     /// Whether `name` is materialized on `node` specifically.
     pub(super) fn cached_on(&self, name: &CacheName, node: NodeId) -> bool {
-        self.controller.location(name) == Some(node)
+        self.cache.lock().controller.location(name) == Some(node)
     }
 
-    /// Cross-query cache import: for every fingerprinted required cache
-    /// this query does not hold, ask the shared source's signature
-    /// directory whether *another* query already built an equivalent
-    /// entry, verify the file still exists on its node, and adopt it
-    /// into this query's controller/registry view. Adopted entries are
-    /// silent registrations (no `Register` trace event), so `Register`
-    /// events keep counting physical builds; the import itself is
-    /// journaled as a `shared_hit`. Directory entries whose backing file
-    /// vanished (node loss racing the heartbeat audit) are dropped here
-    /// — import-time verification is the §5 rollback backstop.
-    fn import_shared(&mut self, names: &[CacheName], at: SimTime) {
-        let dir = match &self.share {
-            Some(s) if self.options.cross_query_sharing && self.options.caching => s.dir.clone(),
-            _ => return,
-        };
-        for name in names {
-            if name.fp == 0 || self.controller.location(name).is_some() {
-                continue;
-            }
-            let Some(entry) = dir.lock().lookup(name) else { continue };
-            let store = self.interned_store(name);
-            if !self.cluster.is_alive(entry.node) || !self.cluster.has_local(entry.node, &store) {
-                dir.lock().remove(name);
-                continue;
-            }
-            let admission = self.controller.adopt_remote(
-                *name,
-                entry.node,
-                entry.bytes,
-                entry.rebuild_bytes,
-                entry.available_at,
-            );
-            if !admission.admitted {
-                // Over-budget adoption: fall back to a plain miss. The
-                // remote file and its advertisement stay put — a query
-                // with headroom can still adopt it.
-                self.win_stats.admit_rejects += 1;
-                continue;
-            }
-            self.registries[entry.node.index()].add_entry(*name, entry.bytes);
-            // The importer never builds this pane itself, but its expiry
-            // sweep visits only built panes the status matrix cleared —
-            // mark both as if built here, or this query would never cast
-            // its directory done-vote and the builder's deferred expiry
-            // would leak the file forever.
-            match name.object {
-                CacheObject::PaneInput { source, pane, .. }
-                | CacheObject::PaneOutput { source, pane }
-                | CacheObject::PaneDelta { source, pane } => {
-                    self.built_panes.insert((source, pane.0));
-                    self.matrix.mark_done(&[pane]);
-                }
-                CacheObject::PairOutput { .. } => {}
-            }
-            self.win_stats.shared_hits += 1;
-            self.trace.emit(|| TraceEvent::Cache {
-                at,
-                action: CacheAction::SharedHit,
-                name: store.to_string(),
-                node: Some(entry.node),
-                bytes: entry.bytes,
-            });
-        }
-    }
-
+    /// Registers a cache this query built on `node` with the cache layer
+    /// (which reclaims any stale copy, policy victims, or a refused
+    /// newcomer through the registries' purge path) and marks it seen
+    /// by this query, so only *other* queries' first hits count as
+    /// cross-query hits.
     pub(super) fn register(&mut self, name: CacheName, node: NodeId, bytes: u64, at: SimTime) {
-        if let Some(old) = self.controller.location(&name) {
-            if old != node {
-                if name.fp != 0 {
-                    // A fingerprinted file may still serve other queries
-                    // through the signature directory: release only this
-                    // query's bookkeeping, never schedule deletion.
-                    self.registries[old.index()].drop_entry(&name);
-                } else {
-                    // The authoritative copy migrates; the stale file on
-                    // the old node is garbage — let its registry purge it.
-                    self.registries[old.index()].mark_expired(&name);
-                }
-            }
-        }
         // Estimate the reconstruction cost as the source pane bytes (per
         // partition): losing a small aggregate cache still forces a full
         // pane re-read/re-map/re-shuffle.
         let rebuild = self.rebuild_bytes_of(&name);
         // Admission sees the window-lifespan use estimate; cost-based
         // policies weigh rebuild cost by it.
-        self.controller.note_remaining_uses(name, self.remaining_uses_of(&name));
-        let admission = self.controller.register_cache_with_rebuild(name, node, bytes, rebuild, at);
-        self.apply_evictions(&admission.evicted);
+        let uses = self.remaining_uses_of(&name);
+        let mut layer = self.cache.lock();
+        layer.controller.note_remaining_uses(name, uses);
+        let admission = layer.register(name, node, bytes, rebuild, at);
+        layer.controller.mark_seen(&name, self.cache_bit);
+        self.win_stats.evictions += admission.evicted.len() as u64;
         if !admission.admitted {
-            // The build already wrote the file and same-window merges may
-            // still read it, so hand it to the node's registry already
-            // flagged expired — the next purge scan reclaims it exactly
-            // like any other retired cache.
             self.win_stats.admit_rejects += 1;
-            self.registries[node.index()].add_entry(name, bytes);
-            self.registries[node.index()].mark_expired(&name);
-            return;
-        }
-        self.registries[node.index()].add_entry(name, bytes);
-        if name.fp != 0 && self.options.cross_query_sharing {
-            if let Some(share) = &self.share {
-                share.dir.lock().publish(
-                    name,
-                    crate::cache::share::SharedCacheEntry {
-                        node,
-                        bytes,
-                        rebuild_bytes: rebuild,
-                        available_at: at,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Applies a policy eviction plan: each victim's registry row is
-    /// flagged expired — the node's next purge scan deletes the file, so
-    /// eviction and lifespan expiry share one reclamation path — and any
-    /// cross-query advertisement is withdrawn. Peers that already
-    /// adopted the victim reconcile through their heartbeat audits once
-    /// the file is gone, the same §5 path a lost cache takes.
-    fn apply_evictions(&mut self, evicted: &[(NodeId, CacheName)]) {
-        if evicted.is_empty() {
-            return;
-        }
-        let dir = self.share.as_ref().map(|s| s.dir.clone());
-        for (vnode, vname) in evicted {
-            self.win_stats.evictions += 1;
-            self.registries[vnode.index()].mark_expired(vname);
-            if vname.fp != 0 {
-                if let Some(dir) = &dir {
-                    dir.lock().remove(vname);
-                }
-            }
         }
     }
 
@@ -918,90 +831,19 @@ where
     /// get rebuilt on demand (paper §5 failure recovery). Returns the
     /// number of lost caches.
     pub fn audit_caches(&mut self) -> usize {
-        let mut lost = 0;
-        let dir = self.share.as_ref().map(|s| s.dir.clone());
-        for reg in &mut self.registries {
-            let hb = reg.heartbeat(&self.cluster);
-            let lost_names = self.controller.apply_heartbeat(&hb);
-            // Keep the cross-query directory honest: advertisements for
-            // caches this audit just rolled back would send importers to
-            // files that no longer exist (they re-verify, but dropping
-            // the entry here saves every one of them the probe).
-            if let Some(dir) = &dir {
-                let mut d = dir.lock();
-                for n in lost_names.iter().filter(|n| n.fp != 0) {
-                    d.remove(n);
-                }
-            }
-            lost += lost_names.len();
-        }
-        lost
-    }
-
-    /// Consults the signature directory before expiring a fingerprinted
-    /// cache. Returns `true` when the expiry must be deferred: some
-    /// *other* query sharing the signature has not finished with the
-    /// pane yet, so this query releases only its own bookkeeping
-    /// (controller entry, registry row, interned name) and leaves the
-    /// file alive; the last consumer's sweep takes the normal
-    /// notify-and-purge path.
-    fn defer_shared_expiry(&mut self, name: &CacheName) -> bool {
-        use crate::cache::share::SharedExpiry;
-        if name.fp == 0 {
-            return false;
-        }
-        let (dir, consumer) = match &self.share {
-            Some(s) => match s.consumer {
-                Some(c) => (s.dir.clone(), c),
-                None => return false,
-            },
-            None => return false,
-        };
-        let verdict = dir.lock().mark_done(name, consumer);
-        match verdict {
-            SharedExpiry::Deferred => {
-                if let Some(node) = self.controller.location(name) {
-                    self.registries[node.index()].drop_entry(name);
-                }
-                self.controller.forget(name);
-                self.interned.remove(name);
-                self.trace.emit(|| TraceEvent::Cache {
-                    at: self.trace.now(),
-                    action: CacheAction::ExpireDeferred,
-                    name: name.store_name(),
-                    node: None,
-                    bytes: 0,
-                });
-                true
-            }
-            SharedExpiry::LastConsumer | SharedExpiry::Untracked => false,
-        }
-    }
-
-    /// Retires one cache identity at end-of-lifespan. Every expiry
-    /// trigger — pane sweep, pair sweep, shared-signature deferral —
-    /// funnels through here: consult the cross-query directory first (a
-    /// deferred expiry releases only this query's bookkeeping and keeps
-    /// the file alive), otherwise cast this query's done-vote, drop the
-    /// master-side signature, and return the purge notification for the
-    /// holding node, if any. One lifecycle path, three triggers.
-    fn retire_cache(&mut self, name: CacheName) -> Result<Option<PurgeNotification>> {
-        if self.defer_shared_expiry(&name) {
-            return Ok(None);
-        }
-        let notification = self.controller.mark_query_done(name, 0)?;
-        self.controller.forget(&name);
-        self.interned.remove(&name);
-        Ok(notification)
+        self.cache.lock().audit(&self.cluster)
     }
 
     /// Expiration + purging after recurrence `rec` (paper §4.1/§4.2):
     /// panes and pairs that left the window and exhausted their lifespans
-    /// get their `doneQueryMask` bits set, purge notifications flow to
-    /// the local registries, and registries run their purge policies.
+    /// get this query's `doneQueryMask` bit set — caches every consumer
+    /// is done with send purge notifications to the local registries —
+    /// and registries run their purge policies.
     pub(super) fn expire_and_purge(&mut self, rec: u64) -> Result<()> {
         let geom = self.sources[0].geom;
-        let mut notifications = Vec::new();
+        let (fp, bit) = (self.active_fp(), self.cache_bit);
+        let cache = self.cache.clone();
+        let mut layer = cache.lock();
 
         let expired_panes: Vec<(u32, u64)> = self
             .built_panes
@@ -1019,10 +861,10 @@ where
             // which a literal-object enumeration would miss. The
             // controller's pane index serves exactly this set without a
             // full-table scan per expired pane.
-            let names = self.controller.names_for_pane(source, p);
-            for name in names {
-                if let Some(n) = self.retire_cache(name)? {
-                    notifications.push(n);
+            for name in layer.controller.names_for_pane(source, p) {
+                if name.fp == fp {
+                    layer.retire(name, bit)?;
+                    self.interned.remove(&name);
                 }
             }
             self.trace.emit(|| TraceEvent::PaneExpire {
@@ -1046,27 +888,18 @@ where
                 .collect();
             for (p, q) in expired_pairs {
                 for r in 0..self.conf.num_reducers {
-                    // Joins cannot attach shared sources, so pair caches
-                    // are always un-fingerprinted.
-                    let name = super::plan::pair_name(0, PaneId(p), PaneId(q), r);
-                    if self.controller.signature(&name).is_some() {
-                        if let Some(n) = self.retire_cache(name)? {
-                            notifications.push(n);
-                        }
+                    let name = super::plan::pair_name(fp, PaneId(p), PaneId(q), r);
+                    if layer.controller.signature(&name).is_some() {
+                        layer.retire(name, bit)?;
+                        self.interned.remove(&name);
                     }
                 }
                 self.built_pairs.remove(&(p, q));
             }
         }
 
-        for n in notifications {
-            self.registries[n.node.index()].mark_expired(&n.name);
-        }
-        for reg in &mut self.registries {
-            if self.cluster.is_alive(reg.node()) {
-                reg.maybe_purge(&self.cluster, rec)?;
-            }
-        }
+        layer.purge(&self.cluster, rec)?;
+        drop(layer);
         // GC the scheduler's dedupe sets: without this, `map_seen` /
         // `reduce_seen` grow by one entry per pane (and pane pair) for
         // the lifetime of the stream.
@@ -1081,5 +914,16 @@ where
         );
         self.matrix.shift(rec);
         Ok(())
+    }
+}
+
+/// The `(source, pane)` a pane-scoped cache belongs to (`None` for pair
+/// outputs).
+fn pane_of(name: &CacheName) -> Option<(u32, PaneId)> {
+    match name.object {
+        CacheObject::PaneInput { source, pane, .. }
+        | CacheObject::PaneOutput { source, pane }
+        | CacheObject::PaneDelta { source, pane } => Some((source, pane)),
+        CacheObject::PairOutput { .. } => None,
     }
 }

@@ -16,7 +16,8 @@
 //! output, gated on all pair `available_at`s.
 //!
 //! Joins cannot attach shared sources, so every cache name in this
-//! module carries fingerprint 0 (the un-shared legacy namespace).
+//! module carries the executor's cluster-unique namespace fingerprint
+//! (0, the legacy names, for the first owned-source query on a cluster).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -70,13 +71,14 @@ where
     fn pair_output_compute(
         cluster: &Cluster,
         node: NodeId,
+        fp: u64,
         left: PaneId,
         right: PaneId,
         r: usize,
         reducer: &R,
     ) -> Result<BuiltCache> {
-        let lt = cluster.get_local(node, &input_name(0, 0, left, r).store_name())?;
-        let rt = cluster.get_local(node, &input_name(0, 1, right, r).store_name())?;
+        let lt = cluster.get_local(node, &input_name(fp, 0, left, r).store_name())?;
+        let rt = cluster.get_local(node, &input_name(fp, 1, right, r).store_name())?;
         let lb: mrio::GroupedBlock<M::KOut, M::VOut> = mrio::decode_grouped_block_any(&lt)?;
         let rb: mrio::GroupedBlock<M::KOut, M::VOut> = mrio::decode_grouped_block_any(&rt)?;
         let input_records = lb.records + rb.records;
@@ -109,7 +111,7 @@ where
         node: NodeId,
         built: &BuiltCache,
     ) -> Result<()> {
-        let name = input_name(0, source, pane, r);
+        let name = input_name(self.active_fp(), source, pane, r);
         self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
         self.built_panes.insert((source, pane.0));
         self.window_built += 1;
@@ -126,7 +128,7 @@ where
         node: NodeId,
         built: &BuiltCache,
     ) -> Result<()> {
-        let name = pair_name(0, left, right, r);
+        let name = pair_name(self.active_fp(), left, right, r);
         self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
         self.matrix.mark_done(&[left, right]);
         self.built_pairs.insert((left.0, right.0));
@@ -162,8 +164,15 @@ where
         r: usize,
         node: NodeId,
     ) -> Result<(u64, u64, u64)> {
-        let built =
-            Self::pair_output_compute(&self.cluster, node, left, right, r, &*self.reducer)?;
+        let built = Self::pair_output_compute(
+            &self.cluster,
+            node,
+            self.active_fp(),
+            left,
+            right,
+            r,
+            &*self.reducer,
+        )?;
         self.apply_pair_output(left, right, r, node, &built)?;
         Ok((built.input_records, built.cache_text_bytes, built.shuffle_text_bytes))
     }
@@ -180,7 +189,7 @@ where
         ctx: WindowCtx,
         metrics: &mut JobMetrics,
     ) -> Result<DfsPath> {
-        let rec = plan.recurrence;
+        let (rec, fp) = (plan.recurrence, plan.fp);
         let panes = &plan.panes;
         let node = prep.node;
         let mut early_done = SimTime::ZERO;
@@ -213,11 +222,11 @@ where
                 for (&(s, p), built) in prep.missing.iter().zip(computed) {
                     let built = built?;
                     self.apply_input_cache(s, p, r, node, &built)?;
-                    let name = input_name(0, s, p, r);
+                    let name = input_name(fp, s, p, r);
                     // A salvage verdict means most of the lost input
                     // cache's frames survive on disk: this rebuild pays
                     // only the missing suffix (§5 partial recovery).
-                    let salvage = self.controller.salvaged(&name);
+                    let salvage = self.cache.lock().controller.salvaged(&name);
                     let ready = ctx
                         .fire
                         .max(prev_end)
@@ -268,7 +277,7 @@ where
                     let reducer = &*self.reducer;
                     exec::parallel_map(prep.todo_pairs.len(), |i| {
                         let (p, q) = prep.todo_pairs[i];
-                        Ok(Self::pair_output_compute(cluster, node, p, q, r, reducer))
+                        Ok(Self::pair_output_compute(cluster, node, fp, p, q, r, reducer))
                     })?
                 };
                 let mut old_seen: HashSet<(u32, u64)> = HashSet::new();
@@ -279,8 +288,11 @@ where
                     let mut cache_bytes = 0u64;
                     for (s, pane) in [(0u32, p), (1u32, q)] {
                         let sig = self
+                            .cache
+                            .lock()
                             .controller
-                            .signature(&input_name(0, s, pane, r))
+                            .signature(&input_name(fp, s, pane, r))
+                            .cloned()
                             .expect("pair inputs exist before the join");
                         ready = ready.max(sig.available_at);
                         // An old input's pre-sorted run is streamed once;
@@ -313,7 +325,7 @@ where
                         metrics,
                     );
                     attempt_startup = false;
-                    self.register(pair_name(0, p, q, r), node, built.cache_text_bytes, placement.end);
+                    self.register(pair_name(fp, p, q, r), node, built.cache_text_bytes, placement.end);
                     prev_end = placement.end;
                 }
             }
@@ -324,10 +336,10 @@ where
                 let mut input_avail: HashMap<(u32, u64), SimTime> = HashMap::new();
                 for s in 0..2u32 {
                     for &p in panes {
-                        let name = input_name(0, s, p, r);
+                        let name = input_name(fp, s, p, r);
                         if self.cached_on(&name, node) {
-                            let at =
-                                self.controller.signature(&name).expect("cached").available_at;
+                            let sig = self.cache.lock().controller.signature(&name).cloned();
+                            let at = sig.expect("cached").available_at;
                             input_avail.insert((s, p.0), at);
                         }
                     }
@@ -346,7 +358,7 @@ where
                 }
                 for &(src, p) in &old_panes_touched {
                     if let Some(sig) =
-                        self.controller.signature(&input_name(0, src, PaneId(p), r))
+                        self.cache.lock().controller.signature(&input_name(fp, src, PaneId(p), r))
                     {
                         concat_old_input_reads += sig.bytes;
                     }
@@ -379,7 +391,7 @@ where
                         );
                         pane_done = pane_done.max(placement.end);
                     }
-                    self.register(input_name(0, s, p, r), node, bytes, pane_done);
+                    self.register(input_name(fp, s, p, r), node, bytes, pane_done);
                     input_avail.insert((s, p.0), pane_done);
                 }
                 // Join pairs as soon as both inputs exist, grouped by the
@@ -402,14 +414,14 @@ where
                         group_local_out += bytes;
                         outs += self
                             .cluster
-                            .get_local(node, &pair_name(0, p, q, r).store_name())
+                            .get_local(node, &pair_name(fp, p, q, r).store_name())
                             .map(|b| {
                                 std::str::from_utf8(&b)
                                     .map(|t| t.lines().count() as u64)
                                     .unwrap_or(0)
                             })
                             .unwrap_or(0);
-                        built.push((pair_name(0, p, q, r), bytes));
+                        built.push((pair_name(fp, p, q, r), bytes));
                     }
                     let work = ReduceWork {
                         shuffle_bytes: 0,
@@ -441,9 +453,9 @@ where
         let mut concat_records = 0u64;
         for &p in panes {
             for &q in panes {
-                let name = pair_name(0, p, q, r);
+                let name = pair_name(fp, p, q, r);
                 let fresh = prep.todo_set.contains(&(p.0, q.0));
-                if let Some(sig) = self.controller.signature(&name) {
+                if let Some(sig) = self.cache.lock().controller.signature(&name) {
                     ready = ready.max(sig.available_at);
                     if !fresh {
                         reused_cache_bytes += sig.bytes;

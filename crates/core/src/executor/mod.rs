@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use redoop_dfs::{Cluster, DfsPath, NodeId};
+use redoop_dfs::{Cluster, DfsPath};
 use redoop_mapred::counters::names as cnames;
 use redoop_mapred::trace::{TraceEvent, TraceSink, WindowTraceStats};
 use redoop_mapred::{
@@ -60,9 +60,8 @@ use redoop_mapred::{
 
 use crate::adaptive::{AdaptiveController, ExecMode};
 use crate::api::{Merger, QueryConf, SourceConf};
-use crate::cache::controller::CacheController;
-use crate::cache::policy::{CacheBudget, PurgePolicy};
-use crate::cache::registry::LocalCacheRegistry;
+use crate::cache::layer::{CacheLayer, ControllerView};
+use crate::cache::policy::CacheBudget;
 use crate::cache::status_matrix::CacheStatusMatrix;
 use crate::cache::{CacheName, CacheObject};
 use crate::error::{RedoopError, Result};
@@ -90,13 +89,14 @@ pub struct ExecutorOptions {
     /// query has no combiner — every pane product is built at fire time.
     pub delta_maintenance: bool,
     /// Share pane caches across queries attached to one
-    /// [`crate::shared::SharedSource`]: signature-equivalent cache names
-    /// are resolved through the source's directory, so one query's
-    /// builds fire as hits in every other compatible query. When false
-    /// the executor keys its caches with a private fingerprint and
-    /// neither publishes nor imports. Must be set before the first
-    /// ingest — cache names are derived from the active fingerprint, so
-    /// flipping it mid-stream orphans already-announced names.
+    /// [`crate::shared::SharedSource`]: signature-equivalent queries
+    /// name the same caches in the source's one cache layer, so one
+    /// query's builds are hits for every other compatible query, and a
+    /// pane lives until the last of them is done with it. When false
+    /// the executor keys its caches with a private fingerprint that no
+    /// other query shares. Must be set before the first window — cache
+    /// names are derived from the active fingerprint, so flipping it
+    /// mid-stream orphans already-built caches.
     pub cross_query_sharing: bool,
 }
 
@@ -161,19 +161,17 @@ struct SourceState {
     shared: bool,
 }
 
-/// This executor's attachment to a shared source's signature directory:
-/// the fingerprints its cache names carry and the consumer id its
-/// lifespan votes are cast under.
-struct ShareBinding {
-    dir: Arc<Mutex<crate::cache::share::SignatureDirectory>>,
-    /// Fingerprint shared by every signature-equivalent query.
-    fp_shared: u64,
-    /// Per-query fingerprint used when sharing is switched off, so the
-    /// executor's cache files stay disjoint from other queries' on the
-    /// common cluster.
-    fp_private: u64,
-    /// Consumer id in the directory; `None` while sharing is off.
-    consumer: Option<usize>,
+/// The fingerprints an executor's cache names carry: `shared` with
+/// [`ExecutorOptions::cross_query_sharing`] on, `private` with it off.
+/// Owned-source executors have nothing to share, so both are their
+/// cluster-unique namespace fingerprint.
+#[derive(Clone, Copy)]
+struct Fingerprints {
+    /// Equal for every signature-equivalent query on a shared source.
+    shared: u64,
+    /// Unique to this query, so its cache files stay disjoint from
+    /// every other query's on the common cluster.
+    private: u64,
 }
 
 /// The recurring-query executor. See module docs.
@@ -192,17 +190,20 @@ where
     combiner: Option<Arc<dyn redoop_mapred::Combiner<M::KOut, M::VOut>>>,
     partitioner: HashPartitioner,
     sources: Vec<SourceState>,
-    controller: CacheController,
-    registries: Vec<LocalCacheRegistry>,
+    /// The controller and node registries: shared with every query on
+    /// the same [`crate::shared::SharedSource`], private otherwise.
+    cache: CacheLayer,
+    /// This query's `doneQueryMask` bit in `cache`.
+    cache_bit: u32,
+    fps: Fingerprints,
     matrix: CacheStatusMatrix,
     lists: TaskLists,
     adaptive: AdaptiveController,
     scheduler: CacheAwareScheduler,
     mapped: HashMap<(u32, u64), MappedPane<M::KOut, M::VOut>>,
-    share: Option<ShareBinding>,
     /// Rendered store names, interned per cache identity: lookups on the
-    /// hot path (local-store reads, heartbeats, shared imports) reuse
-    /// one allocation instead of re-`format!`ing per probe.
+    /// hot path (local-store reads) reuse one allocation instead of
+    /// re-`format!`ing per probe.
     interned: HashMap<CacheName, Arc<str>>,
     delta: delta::DeltaMaintenance<M::KOut, M::VOut>,
     built_panes: BTreeSet<(u32, u64)>,
@@ -259,10 +260,10 @@ where
     /// Attaching also computes the query's *operator fingerprint* — a
     /// stable hash of the mapper/reducer type identity, the partitioner,
     /// the reducer count, the shared pane length, and the query's
-    /// [`QueryConf::share_tag`] — and registers the executor as a
-    /// consumer in the source's signature directory. Queries landing on
-    /// the same fingerprint name (and therefore share) the same pane
-    /// caches. **Caveat:** type identity cannot see through function
+    /// [`QueryConf::share_tag`] — and attaches the executor to the
+    /// source's cache layer as a consumer of that fingerprint. Queries
+    /// landing on the same fingerprint name (and therefore share) the
+    /// same pane caches. **Caveat:** type identity cannot see through function
     /// pointers — two `ClosureMapper<_, _, fn(..)>`s built from
     /// *different* `fn` items share one type name. Give such queries
     /// distinct `share_tag`s (or distinct closure types) unless they
@@ -293,21 +294,15 @@ where
         // The private fingerprint additionally folds in per-query
         // identity so sharing-off executors keep disjoint files on the
         // common cluster.
-        fp.push_str("private")
-            .push_str(&conf.name)
-            .push_str(conf.output_root.as_str())
-            .push_u64(conf.query_index as u64);
-        let fp_private = fp.finish();
-        let dir = shared.directory();
-        let consumer = Some(dir.lock().register_consumer(fp_shared));
-        let share = ShareBinding { dir, fp_shared, fp_private, consumer };
+        fp.push_str("private").push_str(&conf.name).push_str(conf.output_root.as_str());
+        let fps = Fingerprints { shared: fp_shared, private: fp.finish() };
         Self::build(
             cluster,
             sim,
             conf,
             vec![(source, Some(handle))],
             Some(shared.pane_ms()),
-            Some(share),
+            Some((shared.cache_layer().clone(), fps)),
             mapper,
             reducer,
             Some(merger),
@@ -342,6 +337,18 @@ where
         )
     }
 
+    /// A private cache layer for an executor owning its sources. The
+    /// first such executor on a cluster keeps fingerprint 0 (the legacy
+    /// store names); every later one gets its own, so executors sharing
+    /// a cluster never overwrite each other's node-local cache files.
+    fn owned_cache(cluster: &Cluster) -> (CacheLayer, Fingerprints) {
+        let fp = match cluster.claim_cache_namespace() {
+            0 => 0,
+            ns => crate::query::FingerprintBuilder::new().push_str("owned").push_u64(ns).finish(),
+        };
+        (CacheLayer::new(cluster.node_count()), Fingerprints { shared: fp, private: fp })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn build(
         cluster: &Cluster,
@@ -349,7 +356,7 @@ where
         conf: QueryConf,
         sources: Vec<(SourceConf, Option<PackerHandle>)>,
         pane_override_ms: Option<u64>,
-        share: Option<ShareBinding>,
+        shared_cache: Option<(CacheLayer, Fingerprints)>,
         mapper: Arc<M>,
         reducer: Arc<R>,
         merger: Option<Arc<dyn Merger<M::KOut, R::VOut>>>,
@@ -404,18 +411,16 @@ where
             states.push(SourceState { geom: src_geom, conf: src, packer, shared: is_shared });
         }
         let dims = states.len();
+        let (cache, fps) = shared_cache.unwrap_or_else(|| Self::owned_cache(cluster));
         // One journal for the whole executor: the sim's sink (global by
-        // default) is propagated to the controller and every registry.
+        // default) is propagated to the cache layer. Sharing is on by
+        // default, so the query starts out consuming `fps.shared`.
         let trace = sim.trace().clone();
-        let mut controller = CacheController::new(1);
-        controller.set_trace_sink(trace.clone());
-        let registries = (0..cluster.node_count() as u32)
-            .map(|i| {
-                let mut reg = LocalCacheRegistry::new(NodeId(i), PurgePolicy::default());
-                reg.set_trace_sink(trace.clone());
-                reg
-            })
-            .collect();
+        let cache_bit = {
+            let mut layer = cache.lock();
+            layer.set_trace_sink(trace.clone());
+            layer.controller.attach_query(fps.shared)?
+        };
         Ok(RecurringExecutor {
             cluster: cluster.clone(),
             sim,
@@ -427,14 +432,14 @@ where
             combiner: None,
             partitioner: HashPartitioner,
             sources: states,
-            controller,
-            registries,
+            cache,
+            cache_bit,
+            fps,
             matrix: CacheStatusMatrix::new(dims, geom),
             lists: TaskLists::new(),
             adaptive,
             scheduler: CacheAwareScheduler,
             mapped: HashMap::new(),
-            share,
             interned: HashMap::new(),
             delta: delta::DeltaMaintenance::new(num_reducers),
             built_panes: BTreeSet::new(),
@@ -449,13 +454,12 @@ where
     }
 
     /// Routes the whole executor's journal — simulator, cache controller,
-    /// and every node registry — to an explicit sink.
+    /// and every node registry — to an explicit sink. The cache layer is
+    /// shared by every query on a shared source, so its events follow
+    /// the sink installed last.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.sim.set_trace_sink(sink.clone());
-        self.controller.set_trace_sink(sink.clone());
-        for reg in &mut self.registries {
-            reg.set_trace_sink(sink.clone());
-        }
+        self.cache.lock().set_trace_sink(sink.clone());
         self.trace = sink;
     }
 
@@ -464,49 +468,35 @@ where
         self.lists.seen_counts()
     }
 
-    /// Overrides the ablation switches. Toggling
-    /// [`ExecutorOptions::cross_query_sharing`] re-registers or
-    /// withdraws this executor as a consumer in its shared source's
-    /// signature directory; do it before the first ingest (cache names
-    /// embed the active fingerprint).
+    /// Overrides the ablation switches. Set
+    /// [`ExecutorOptions::cross_query_sharing`] before the first window:
+    /// cache names embed the active fingerprint.
     pub fn set_options(&mut self, options: ExecutorOptions) {
-        if let Some(share) = &mut self.share {
-            match (self.options.cross_query_sharing, options.cross_query_sharing) {
-                (true, false) => {
-                    if let Some(c) = share.consumer.take() {
-                        share.dir.lock().deregister_consumer(share.fp_shared, c);
-                    }
-                }
-                (false, true) if share.consumer.is_none() => {
-                    share.consumer = Some(share.dir.lock().register_consumer(share.fp_shared));
-                }
-                _ => {}
-            }
-        }
         self.options = options;
+        self.cache.lock().controller.bind_query(self.cache_bit, self.active_fp());
     }
 
     /// Selects the cache lifecycle policy and per-node capacity budget
-    /// (paper §4 caching, this implementation's policy layer). With the
-    /// default budget — baseline window-lifespan policy, unbounded
-    /// capacity — execution is bit-identical to an executor that never
-    /// called this. A bounded budget makes the controller consult the
-    /// policy on every registration/adoption and journal `evict` /
-    /// `admit_reject` decisions.
+    /// (paper §4 caching, this implementation's policy layer) of the
+    /// executor's cache layer — on a shared source, the budget of every
+    /// query attached to it. With the default budget — baseline
+    /// window-lifespan policy, unbounded capacity — execution is
+    /// bit-identical to an executor that never called this. A bounded
+    /// budget makes the controller consult the policy on every
+    /// registration and journal `evict` / `admit_reject` decisions.
     pub fn set_cache_policy(&mut self, budget: CacheBudget) {
-        self.controller.set_policy(budget.policy.build(self.sim.cost()));
-        self.controller.set_capacity(budget.per_node_bytes);
+        let mut layer = self.cache.lock();
+        layer.controller.set_policy(budget.policy.build(self.sim.cost()));
+        layer.controller.set_capacity(budget.per_node_bytes);
     }
 
-    /// The operator fingerprint this executor's cache names carry: the
-    /// shared fingerprint when attached to a shared source with sharing
-    /// on, a private per-query fingerprint when sharing is off, and 0
-    /// (legacy per-slot names) for owned sources and joins.
+    /// The operator fingerprint this executor's cache names carry (see
+    /// [`Fingerprints`]).
     fn active_fp(&self) -> u64 {
-        match &self.share {
-            Some(s) if self.options.cross_query_sharing => s.fp_shared,
-            Some(s) => s.fp_private,
-            None => 0,
+        if self.options.cross_query_sharing {
+            self.fps.shared
+        } else {
+            self.fps.private
         }
     }
 
@@ -545,34 +535,27 @@ where
         &self.sim
     }
 
-    /// The cache controller (inspection in tests/benches).
-    pub fn controller(&self) -> &CacheController {
-        &self.controller
+    /// The cache controller (inspection in tests/benches). The view
+    /// holds the cache layer's lock: drop it before running a window.
+    pub fn controller(&self) -> ControllerView<'_> {
+        self.cache.controller()
     }
 
-    /// Debug-build invariant: on every **alive** node, the controller's
-    /// per-node byte index equals that node registry's live-byte
-    /// counter — registration, adoption, eviction, rejection, expiry,
-    /// and heartbeat rollback must all move the two ledgers in step.
-    /// Dead nodes are excluded (their registries intentionally keep
-    /// stale rows until a heartbeat can run again), as is the
-    /// caching-off ablation (it invalidates controller entries without
-    /// visiting registries).
+    /// This query's `doneQueryMask` bit in its cache layer.
+    pub fn cache_bit(&self) -> u32 {
+        self.cache_bit
+    }
+
+    /// Debug-build invariant: the cache layer's two byte ledgers agree
+    /// (see [`CacheLayer::check_accounting`]) — one check covers every
+    /// query on the layer. Skipped for the caching-off ablation, which
+    /// invalidates controller entries without visiting registries.
     #[cfg(debug_assertions)]
     fn debug_check_cache_accounting(&self) {
-        if !self.options.caching {
-            return;
-        }
-        for reg in &self.registries {
-            if !self.cluster.is_alive(reg.node()) {
-                continue;
+        if self.options.caching {
+            if let Err(e) = self.cache.check_accounting(&self.cluster) {
+                panic!("{e}");
             }
-            debug_assert_eq!(
-                self.controller.bytes_on(reg.node()),
-                reg.live_bytes(),
-                "cache byte ledgers diverged on node {:?}",
-                reg.node()
-            );
         }
     }
 
@@ -626,16 +609,18 @@ where
                 .slices_of(PaneId(p))
                 .len()
                 .max(1) as u32;
-            let fp = if self.sources[source].shared { self.active_fp() } else { 0 };
+            let fp = self.active_fp();
+            let mut layer = self.cache.lock();
             for r in 0..self.conf.num_reducers {
                 for sub in 0..subs {
-                    self.controller.note_hdfs_available(CacheName::with_fp(
+                    layer.controller.note_hdfs_available(CacheName::with_fp(
                         CacheObject::PaneInput { source: sid, pane: PaneId(p), sub },
                         r,
                         fp,
                     ));
                 }
             }
+            drop(layer);
             self.lists.push_map(MapTaskEntry { source: sid, pane: PaneId(p), sub: 0 });
             self.trace.emit(|| TraceEvent::PaneSeal {
                 at: self.trace.now(),
@@ -669,8 +654,12 @@ where
         // Recovery audit: caches claimed available must still exist.
         self.win_stats.rollbacks = self.audit_caches() as u64;
         if !self.options.caching {
-            for name in self.controller.all_cached() {
-                self.controller.invalidate(&name);
+            let fp = self.active_fp();
+            let mut layer = self.cache.lock();
+            for name in layer.controller.all_cached() {
+                if name.fp == fp {
+                    layer.controller.invalidate(&name);
+                }
             }
         }
 

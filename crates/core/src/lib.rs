@@ -26,7 +26,9 @@
 //!   (Table 1), the master's Window-Aware Cache Controller with cache
 //!   signatures and `doneQueryMask` (Table 2), the per-query cache status
 //!   matrix with lifespan-based expiration and shifting (Table 3,
-//!   Fig. 4), and periodic/on-demand purging (§4.1–4.2).
+//!   Fig. 4), and periodic/on-demand purging (§4.1–4.2). Queries on one
+//!   [`SharedSource`] share one cache layer ([`cache::layer`]), so a
+//!   pane one of them builds is a cache hit for the others.
 //! * **Cache-aware task scheduling** ([`scheduler`]) — Eq. 4
 //!   (`argmin Load_i + C_task,i`) over map/reduce task lists
 //!   (Algorithm 2).

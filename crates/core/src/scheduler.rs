@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn affinity_prefers_cache_holder() {
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.register_cache(name(0), NodeId(1), 1_000_000, SimTime::ZERO);
         let cost = CostModel::default();
         let on_holder = cache_affinity(&ctl, &[name(0)], NodeId(1), &cost);
@@ -295,7 +295,7 @@ mod tests {
     #[test]
     fn eviction_revokes_the_holder_affinity_credit() {
         use crate::cache::policy::LruPolicy;
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.set_policy(Box::new(LruPolicy));
         ctl.set_capacity(Some(1_000_000));
         ctl.register_cache(name(0), NodeId(1), 800_000, SimTime::ZERO);
@@ -323,7 +323,7 @@ mod tests {
         // does toward pane-output holders.
         let delta =
             CacheName::new(CacheObject::PaneDelta { source: 0, pane: PaneId(3) }, 2);
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.register_cache(delta, NodeId(4), 500_000, SimTime::ZERO);
         let cost = CostModel::default();
         let on_home = cache_affinity(&ctl, &[delta], NodeId(4), &cost);
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn unknown_caches_cost_nothing_extra() {
-        let ctl = CacheController::new(1);
+        let ctl = CacheController::new();
         let cost = CostModel::default();
         assert_eq!(cache_affinity(&ctl, &[name(9)], NodeId(0), &cost), SimTime::ZERO);
     }
@@ -343,7 +343,7 @@ mod tests {
         // Paper: "if all task slots of a node have been taken ... the
         //  scheduler assigns the new task to a different node even if a
         //  fully loaded node has the desired cache available".
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.register_cache(name(0), NodeId(0), 10_000, SimTime::ZERO); // small cache
         let cost = CostModel::default();
         let caches = [name(0)];
@@ -365,19 +365,21 @@ mod tests {
     }
 
     #[test]
-    fn adopted_remote_caches_earn_the_eq4_reuse_credit() {
-        // Cross-query sharing: a fingerprinted cache another query built
-        // is adopted (silently registered) rather than self-built. The
-        // affinity term must credit the remote holder exactly like a
-        // self-built cache, so the Eq. 4 argmin anchors this query's
+    fn cross_query_caches_earn_the_eq4_reuse_credit() {
+        // Cross-query sharing: queries on one shared source share one
+        // controller, so a fingerprinted cache another query registered
+        // is an ordinary located signature. The affinity term credits
+        // its holder, and the Eq. 4 argmin anchors this query's
         // partition on the node that already holds the shared pane.
         let shared = CacheName::with_fp(
             CacheObject::PaneOutput { source: 0, pane: PaneId(2) },
             1,
             0xabcd,
         );
-        let mut ctl = CacheController::new(1);
-        ctl.adopt_remote(shared, NodeId(3), 200_000, 800_000, SimTime::ZERO);
+        let mut ctl = CacheController::new();
+        let (builder, reader) = (ctl.attach_query(0xabcd).unwrap(), ctl.attach_query(0xabcd).unwrap());
+        ctl.register_cache_with_rebuild(shared, NodeId(3), 200_000, 800_000, SimTime::ZERO);
+        ctl.mark_seen(&shared, builder);
         let cost = CostModel::default();
         let caches = [shared];
         let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);
@@ -390,6 +392,7 @@ mod tests {
         let ctx = SchedulerCtx { loads: &loads, alive: &alive };
         let picked = CacheAwareScheduler.pick_node(TaskKind::Reduce, &ctx, &affinity);
         assert_eq!(picked, NodeId(3), "placement must anchor on the cross-query holder");
+        assert!(ctl.mark_seen(&shared, reader), "the reader's first hit is a shared hit");
     }
 
     #[test]
@@ -407,7 +410,7 @@ mod tests {
             rng
         };
         for case in 0..300 {
-            let mut ctl = CacheController::new(1);
+            let mut ctl = CacheController::new();
             let caches: Vec<CacheName> = (0..next() % 4)
                 .map(|p| {
                     let n = name(p);
@@ -484,7 +487,7 @@ mod tests {
             "map CPU and sort must be charged on top of the I/O terms"
         );
 
-        let mut ctl = CacheController::new(1);
+        let mut ctl = CacheController::new();
         ctl.register_cache(name(0), NodeId(0), bytes, SimTime::ZERO);
         let caches = [name(0)];
         let affinity = |n: NodeId| cache_affinity(&ctl, &caches, n, &cost);

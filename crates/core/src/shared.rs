@@ -12,6 +12,12 @@
 //! `gcd(win, slide)` equals the shared pane length (checked at attach
 //! time); their windows are then exact pane unions and every query can
 //! resolve its windows from the shared manifest.
+//!
+//! The source also owns the [`CacheLayer`] of its queries: one
+//! controller and one registry per node for the whole fleet, so a pane
+//! product one query builds is a cache hit for every query with the
+//! same operator fingerprint, and one per-node byte budget bounds the
+//! fleet's resident caches.
 
 use std::sync::Arc;
 
@@ -21,7 +27,7 @@ use redoop_dfs::{Cluster, DfsPath};
 
 use crate::analyzer::PartitionPlan;
 use crate::api::SourceConf;
-use crate::cache::share::SignatureDirectory;
+use crate::cache::layer::CacheLayer;
 use crate::error::{RedoopError, Result};
 use crate::packer::{DynamicDataPacker, PaneManifest, TsFn};
 use crate::pane::PaneGeometry;
@@ -29,8 +35,7 @@ use crate::query::WindowSpec;
 use crate::time::TimeRange;
 
 /// Shared handle to one data source's packer (pane files + manifest)
-/// and the signature directory its attached queries share caches
-/// through.
+/// and the cache layer of every query attached to it.
 #[derive(Clone)]
 pub struct SharedSource {
     name: String,
@@ -38,7 +43,7 @@ pub struct SharedSource {
     pane_root: DfsPath,
     ts_fn: TsFn,
     packer: Arc<Mutex<DynamicDataPacker>>,
-    directory: Arc<Mutex<SignatureDirectory>>,
+    cache: CacheLayer,
 }
 
 impl std::fmt::Debug for SharedSource {
@@ -79,7 +84,7 @@ impl SharedSource {
             pane_root,
             ts_fn,
             packer: Arc::new(Mutex::new(packer)),
-            directory: Arc::new(Mutex::new(SignatureDirectory::new())),
+            cache: CacheLayer::new(cluster.node_count()),
         })
     }
 
@@ -113,10 +118,9 @@ impl SharedSource {
         self.packer.clone()
     }
 
-    /// The cross-query signature directory every executor attached to
-    /// this source publishes to / imports from.
-    pub fn directory(&self) -> Arc<Mutex<SignatureDirectory>> {
-        self.directory.clone()
+    /// The cache layer every executor attached to this source holds.
+    pub fn cache_layer(&self) -> &CacheLayer {
+        &self.cache
     }
 
     /// Builds the [`SourceConf`] a query uses to attach to this source.

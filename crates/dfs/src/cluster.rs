@@ -95,6 +95,9 @@ struct ClusterInner {
     /// re-concatenating blocks. Per-block reads still happen on every
     /// call — only the copy into a fresh buffer is memoized.
     assembled: Mutex<HashMap<BlockId, Bytes>>,
+    /// Count of node-local cache namespaces handed out by
+    /// [`Cluster::claim_cache_namespace`].
+    cache_namespaces: AtomicUsize,
 }
 
 impl Cluster {
@@ -108,6 +111,7 @@ impl Cluster {
                 nodes,
                 dead: AtomicUsize::new(0),
                 assembled: Mutex::new(HashMap::new()),
+                cache_namespaces: AtomicUsize::new(0),
             }),
         }
     }
@@ -120,6 +124,14 @@ impl Cluster {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.inner.config
+    }
+
+    /// Claims a fresh namespace for node-local cache files: 0 for the
+    /// first claim on this cluster, then 1, 2, … Clients that name their
+    /// local files independently of each other take one each, so two of
+    /// them never write the same local file.
+    pub fn claim_cache_namespace(&self) -> u64 {
+        self.inner.cache_namespaces.fetch_add(1, Ordering::Relaxed) as u64
     }
 
     /// Number of configured nodes (dead or alive).

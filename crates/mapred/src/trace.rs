@@ -65,15 +65,11 @@ pub enum CacheAction {
     Forget,
     /// Expired file physically deleted from a node's local store.
     Purge,
-    /// Cache marked done by every query (doneQueryMask full).
+    /// Cache marked done by every consumer (doneQueryMask full).
     Expire,
-    /// A window adopted a signature-equivalent cache built by *another*
-    /// query (cross-query sharing) instead of rebuilding it.
+    /// A query's first hit on a signature-equivalent cache *another*
+    /// query built (cross-query sharing); journaled right after the hit.
     SharedHit,
-    /// This query is done with a shared cache but other consumers still
-    /// need it: local bookkeeping dropped, file retained (lifespan
-    /// extended to the last sharing consumer).
-    ExpireDeferred,
     /// A salvaged (partially damaged) cache was rebuilt at the cost of
     /// only its missing frame suffix instead of a full rebuild.
     PartialRebuild,
@@ -100,7 +96,6 @@ impl CacheAction {
             CacheAction::Purge => "purge",
             CacheAction::Expire => "expire",
             CacheAction::SharedHit => "shared_hit",
-            CacheAction::ExpireDeferred => "expire_deferred",
             CacheAction::PartialRebuild => "partial_rebuild",
             CacheAction::Evict => "evict",
             CacheAction::AdmitReject => "admit_reject",
@@ -570,9 +565,8 @@ pub struct WindowTraceStats {
     pub placements_cache_local: u64,
     /// Caches rolled back by heartbeat reconciliation this window (§5).
     pub rollbacks: u64,
-    /// Caches adopted from signature-equivalent entries built by other
-    /// queries (cross-query sharing) this window. These subsequently
-    /// count as `cache_hits` when the plan probes them, so
+    /// This window's first hits on caches other queries built
+    /// (cross-query sharing). Each is also counted in `cache_hits`, so
     /// `shared_hits` isolates the cross-query contribution.
     pub shared_hits: u64,
     /// Caches evicted by the capacity policy this window.

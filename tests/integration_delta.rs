@@ -125,15 +125,14 @@ fn node_loss_between_seal_and_fire_rebuilds_only_lost_state() {
     ingest_all(&mut exec, 0, &batches);
 
     // Pick a node that actually holds sealed delta state.
-    let victim = exec
-        .controller()
-        .all_cached()
-        .iter()
-        .find(|n| {
-            matches!(n.object, redoop_core::cache::CacheObject::PaneDelta { .. })
-        })
-        .and_then(|n| exec.controller().location(n))
-        .expect("ingestion must seal delta caches");
+    let victim = {
+        let ctl = exec.controller();
+        ctl.all_cached()
+            .iter()
+            .find(|n| matches!(n.object, redoop_core::cache::CacheObject::PaneDelta { .. }))
+            .and_then(|n| ctl.location(n))
+            .expect("ingestion must seal delta caches")
+    };
     cluster.kill_node(victim).unwrap();
     cluster.revive_node(victim).unwrap(); // rejoin with a wiped local store
 

@@ -11,11 +11,16 @@ use std::sync::Arc;
 
 use common::*;
 use redoop_core::prelude::*;
+use redoop_core::cache::CacheObject;
 use redoop_core::{RecurringExecutor, SharedSource};
 use redoop_dfs::DfsPath;
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::queries::{AggMapper, AggReducer};
 use redoop_workloads::wcc::WccGenerator;
+
+/// Pane length of the shared sources in the two-query tests (the GCD of
+/// their window constraints).
+const PANE_MS: u64 = 1_000_000;
 
 fn shared_executor(
     cluster: &redoop_dfs::Cluster,
@@ -107,16 +112,23 @@ fn two_queries_share_one_sources_pane_files() {
     assert!(exec2.reports()[1..].iter().all(|r| r.reused_caches > 0));
 }
 
-/// Materialized caches and their doneQueryMask bits, sorted by store
-/// name — the controller-state fingerprint compared across drivers.
-fn mask_snapshot(exec: &RecurringExecutor<AggMapper, AggReducer>) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = exec
-        .controller()
+/// The caches of this query's latest window and its own doneQueryMask
+/// bit on each, sorted by store name — the controller-state
+/// fingerprint compared across drivers. The layer is shared, so the
+/// rest of each mask, and which caches of other panes are still
+/// resident, depend on how the two queries interleave.
+fn mask_snapshot(exec: &RecurringExecutor<AggMapper, AggReducer>) -> Vec<(String, bool)> {
+    let window = exec.window_spec().window_range(exec.reports().last().unwrap().recurrence);
+    let bit = 1u64 << exec.cache_bit();
+    let ctl = exec.controller();
+    let mut v: Vec<(String, bool)> = ctl
         .all_cached()
         .into_iter()
-        .map(|n| {
-            (n.store_name(), exec.controller().signature(&n).unwrap().done_query_mask)
+        .filter(|n| match n.object {
+            CacheObject::PaneOutput { pane, .. } => window.contains(EventTime(pane.0 * PANE_MS)),
+            _ => false,
         })
+        .map(|n| (n.store_name(), ctl.signature(&n).unwrap().done_query_mask & bit != 0))
         .collect();
     v.sort();
     v
@@ -124,7 +136,7 @@ fn mask_snapshot(exec: &RecurringExecutor<AggMapper, AggReducer>) -> Vec<(String
 
 /// Per-window controller fingerprints, shared between a probe and the
 /// assertion site.
-type MaskLog = std::rc::Rc<std::cell::RefCell<Vec<Vec<(String, u64)>>>>;
+type MaskLog = std::rc::Rc<std::cell::RefCell<Vec<Vec<(String, bool)>>>>;
 
 /// Wraps an executor so the deployment's interleaved run logs the same
 /// per-window controller fingerprints the sequential oracle records.
@@ -252,6 +264,7 @@ fn deployment_matches_the_sequential_multiquery_oracle() {
     }
 
     // Same doneQueryMask progression after each recurrence.
+    assert!(seq_masks1.iter().chain(&seq_masks2).all(|m| !m.is_empty()));
     assert_eq!(*log1.borrow(), seq_masks1, "q1 doneQueryMask progression");
     assert_eq!(*log2.borrow(), seq_masks2, "q2 doneQueryMask progression");
 }
@@ -348,7 +361,7 @@ fn shared_pane_finer_than_either_querys_own_gcd() {
 // Cross-query cache sharing oracle suite: N identical queries over one
 // shared source must produce bit-identical outputs with sharing on and
 // off, while the traced journal proves each shared (pane, partition)
-// was physically built exactly once and every other query imported it.
+// was physically built exactly once and every other query hit it.
 // ---------------------------------------------------------------------
 
 /// Raw output bytes per query per window, plus the run's trace journal.
@@ -411,8 +424,8 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
     assert_eq!(shared_outs, private_outs, "sharing must not change any query's output bytes");
 
     // Journal: every reduce-output registration is a physical build
-    // (imports are silent adoptions), so each shared (pane, partition)
-    // must register exactly once across the whole fleet.
+    // (other queries' reads are plain hits), so each shared (pane,
+    // partition) must register exactly once across the whole fleet.
     let mut ro_registers: Vec<String> = shared_events
         .iter()
         .filter_map(|e| match e {
@@ -432,28 +445,49 @@ fn cross_query_sharing_is_exact_and_builds_each_pane_once() {
     // fixture runs 4 reduce partitions.
     assert_eq!(total, 4 * 4, "expected one build per (pane, partition)");
 
-    // And the other N-1 queries imported instead of rebuilding.
+    // And the other N-1 queries hit the builder's file instead of
+    // rebuilding it.
     let shared_hits = shared_events
         .iter()
         .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::SharedHit, .. }))
         .count();
-    assert!(shared_hits > 0, "journal must show cross-query imports");
+    assert!(shared_hits > 0, "journal must show cross-query hits");
     // Each of the 16 builds serves the other two queries exactly once.
-    assert_eq!(shared_hits, (N - 1) * total, "every non-builder must import every pane");
+    assert_eq!(shared_hits, (N - 1) * total, "every non-builder must hit every pane");
 
-    // Deferred expiry kept files alive until the last consumer was done.
-    let deferred = shared_events
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::ExpireDeferred, .. }))
-        .count();
-    assert!(deferred > 0, "non-final consumers must defer, not delete");
+    // The one file of each shared product expires exactly once, and
+    // only after every consumer's last hit on it: the done bits of the
+    // earlier consumers kept it alive for the last one.
+    let mut expired = 0;
+    for name in &ro_registers {
+        let at = |action: CacheAction| -> Vec<usize> {
+            shared_events
+                .iter()
+                .enumerate()
+                .filter_map(|(i, e)| match e {
+                    TraceEvent::Cache { action: a, name: n, .. } if *a == action && n == name => {
+                        Some(i)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let expires = at(CacheAction::Expire);
+        assert!(expires.len() <= 1, "{name} expired {} times", expires.len());
+        if let (Some(&expire), Some(&last_hit)) = (expires.first(), at(CacheAction::Hit).last()) {
+            assert!(expire > last_hit, "{name} expired before its last consumer's hit");
+            expired += 1;
+        }
+    }
+    // Within three windows the sweep retires panes 0 and 1.
+    assert_eq!(expired, 2 * 4, "every retired (pane, partition) expires once");
 }
 
 #[test]
 fn private_fingerprints_keep_disjoint_files_when_sharing_is_off() {
     use redoop_mapred::trace::{CacheAction, TraceEvent};
     // With sharing off each query builds under its own private
-    // fingerprint: N times the physical builds, zero imports.
+    // fingerprint: N times the physical builds, zero shared hits.
     const N: usize = 3;
     let (_, events) = run_share_fleet(N, 2, false, "share-priv");
     let registers: Vec<&String> = events
@@ -473,5 +507,173 @@ fn private_fingerprints_keep_disjoint_files_when_sharing_is_off() {
         .iter()
         .filter(|e| matches!(e, TraceEvent::Cache { action: CacheAction::SharedHit, .. }))
         .count();
-    assert_eq!(shared_hits, 0, "private-cache mode must never import");
+    assert_eq!(shared_hits, 0, "private-cache mode must never share");
+}
+
+#[test]
+fn owned_source_queries_on_one_cluster_keep_their_caches_apart() {
+    // Two aggregations that each own their source share one cluster and
+    // one deployment. Every executor names its pane caches on its own,
+    // so without a cluster-unique cache namespace per executor both
+    // would write `ro/s0p{p}/r{r}` on the same nodes, and each query's
+    // later windows would merge the other query's pane partials.
+    let spec = WindowSpec::new(2_000_000, 1_000_000).unwrap();
+    const WINDOWS: u64 = 5;
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let streams: Vec<_> = [11, 99].iter().map(|&seed| wcc_batches(&plan, seed, 1.0)).collect();
+
+    let cluster = test_cluster();
+    let mut execs: Vec<_> = ["own-a", "own-b"]
+        .iter()
+        .map(|name| agg_executor(&cluster, spec, name, batch_adaptive(&cluster, &spec)))
+        .collect();
+    let mut deployment = RecurringDeployment::new(execs[0].sim().clone());
+    for (exec, batches) in execs.iter_mut().zip(&streams) {
+        let src = deployment.add_source(batches.iter().map(arrival).collect());
+        deployment.add_query(exec, &[src], WINDOWS).unwrap();
+    }
+    deployment.run().unwrap();
+
+    let mut sim = test_sim(&cluster);
+    for (q, batches) in streams.iter().enumerate() {
+        let files = baseline_inputs(&cluster, &format!("/batches/own-{q}"), batches);
+        let out_root = DfsPath::new(format!("/out/own-base-{q}")).unwrap();
+        for (w, report) in deployment.reports(q).iter().enumerate() {
+            let baseline = run_baseline_window(
+                &cluster,
+                &mut sim,
+                Arc::new(AggMapper),
+                &AggReducer,
+                leading_ts_fn(),
+                &spec,
+                w as u64,
+                &files,
+                4,
+                &out_root,
+                None,
+            )
+            .unwrap();
+            let got: Vec<(String, u64)> = read_window_output(&cluster, &report.outputs).unwrap();
+            let expect: Vec<(String, u64)> =
+                read_window_output(&cluster, &baseline.outputs).unwrap();
+            assert!(!expect.is_empty());
+            assert_eq!(got, expect, "query {q} window {w} must match the recompute oracle");
+        }
+    }
+}
+
+/// Checks the fleet's shared cache layer after every window of the
+/// query it wraps: no live node holds more than `budget` cache bytes,
+/// and the layer's controller and registry ledgers agree.
+struct BudgetProbe<'a> {
+    exec: &'a mut RecurringExecutor<AggMapper, AggReducer>,
+    shared: SharedSource,
+    cluster: redoop_dfs::Cluster,
+    budget: u64,
+}
+
+impl redoop_core::DeployedQuery for BudgetProbe<'_> {
+    fn window_spec(&self) -> WindowSpec {
+        self.exec.window_spec()
+    }
+
+    fn ingest_lines(
+        &mut self,
+        source: usize,
+        lines: &[String],
+        range: &TimeRange,
+    ) -> redoop_core::Result<()> {
+        self.exec.ingest(source, lines.iter().map(String::as_str), range)
+    }
+
+    fn run_window(&mut self, rec: u64) -> redoop_core::Result<WindowReport> {
+        let report = self.exec.run_window(rec)?;
+        let layer = self.shared.cache_layer();
+        for node in self.cluster.alive_nodes() {
+            let held = layer.controller().bytes_on(node);
+            assert!(held <= self.budget, "{node:?} holds {held} B over a {} B budget", self.budget);
+        }
+        layer.check_accounting(&self.cluster).unwrap();
+        Ok(report)
+    }
+
+    fn set_cache_policy(&mut self, budget: CacheBudget) {
+        self.exec.set_cache_policy(budget)
+    }
+}
+
+#[test]
+fn fleet_budget_bounds_every_nodes_resident_bytes() {
+    use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
+    // Four queries over one shared source share one cache layer, so one
+    // per-node budget must bound the bytes the whole fleet keeps on a
+    // node — not each query's share of it.
+    const N: usize = 4;
+    const WINDOWS: u64 = 6;
+    let spec = WindowSpec::new(4_000_000, 1_000_000).unwrap();
+    let plan = ArrivalPlan::new(spec, WINDOWS);
+    let batches = wcc_batches(&plan, 66, 1.0);
+
+    let run = |budget: Option<CacheBudget>| -> (Vec<Vec<u8>>, Vec<TraceEvent>) {
+        let cluster = test_cluster();
+        let shared = SharedSource::new(
+            &cluster,
+            0,
+            "wcc",
+            DfsPath::new("/panes/fleet-budget").unwrap(),
+            &[spec],
+            leading_ts_fn(),
+        )
+        .unwrap();
+        let sink = TraceSink::enabled();
+        let mut execs: Vec<_> = (0..N)
+            .map(|i| {
+                let mut e = shared_executor(&cluster, &shared, spec, &format!("fb-q{i}"));
+                e.set_trace_sink(sink.clone());
+                e
+            })
+            .collect();
+        let mut deployment = RecurringDeployment::new(execs[0].sim().clone());
+        let src = deployment.add_shared_source(shared.clone(), batches.iter().map(arrival).collect());
+        let limit = budget.and_then(|b| b.per_node_bytes).unwrap_or(u64::MAX);
+        for exec in execs.iter_mut() {
+            let probe =
+                BudgetProbe { exec, shared: shared.clone(), cluster: cluster.clone(), budget: limit };
+            deployment.add_query(probe, &[src], WINDOWS).unwrap();
+        }
+        if let Some(b) = budget {
+            deployment.set_cache_policy(b);
+        }
+        let mut outs = Vec::new();
+        for fired in deployment.run().unwrap() {
+            for p in &fired.report.outputs {
+                outs.push(cluster.read(p).unwrap().to_vec());
+            }
+        }
+        (outs, sink.events())
+    };
+
+    let (oracle, events) = run(None);
+    let count = |events: &[TraceEvent], want: CacheAction| {
+        events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Cache { action, .. } if *action == want))
+            .count()
+    };
+    assert!(count(&events, CacheAction::SharedHit) > 0, "the fleet must share caches");
+    // Room for two of the largest caches per node: every cache fits, but
+    // the fleet's working set does not.
+    let max_cache = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Cache { action: CacheAction::Register, bytes, .. } => Some(*bytes),
+            _ => None,
+        })
+        .max()
+        .unwrap();
+    for policy in [CachePolicyKind::Lru, CachePolicyKind::CostBased] {
+        let (capped, events) = run(Some(CacheBudget::bounded(policy, 2 * max_cache)));
+        assert_eq!(capped, oracle, "{policy:?}: outputs must not depend on the budget");
+        assert!(count(&events, CacheAction::Evict) > 0, "{policy:?}: the budget must bind");
+    }
 }

@@ -69,12 +69,13 @@ fn failures_journal_rollback_events_and_counts() {
 
     // Kill a node that actually holds a cache; the dead-node heartbeat
     // triggers the §5 rollback path.
-    let victim = exec
-        .controller()
-        .all_cached()
-        .iter()
-        .find_map(|n| exec.controller().location(n))
-        .expect("window 0 must have materialized caches");
+    let victim = {
+        let ctl = exec.controller();
+        ctl.all_cached()
+            .iter()
+            .find_map(|n| ctl.location(n))
+            .expect("window 0 must have materialized caches")
+    };
     cluster.kill_node(victim).unwrap();
     let lost = exec.audit_caches();
     assert!(lost > 0, "the victim's caches must be rolled back");

@@ -20,7 +20,8 @@ pub enum RedoopError {
     InvalidWindow(String),
     /// Query configuration problem (sources, merger, paths).
     InvalidQuery(String),
-    /// A record could not be assigned to a pane (bad timestamp).
+    /// A record could not be assigned to a pane (bad timestamp) or an
+    /// output part could not be decoded.
     BadRecord(String),
     /// Internal invariant violation in cache bookkeeping.
     CacheInconsistency(String),

@@ -1,25 +1,15 @@
-//! Aggregation tasks: per-pane partial-aggregate builds and the window
-//! merge (the plan's `BuildPane` / `MergePanes` nodes).
-//!
-//! In batch mode each missing pane is **its own reduce task** — pure
-//! compute runs on parallel host threads, then each build is charged
-//! sequentially in pane order with its own ready time (fire ∨ its map
-//! completion), so builds of different partitions overlap on the
-//! simulated timeline. Proactive mode keeps the paper's pipelining: one
-//! early micro-task per sub-pane as map output arrives. The merge task
-//! is gated on every pane partial's `available_at` (reused caches and
-//! fresh builds alike) and merges the pre-grouped sorted runs in one
-//! linear pass.
+//! Aggregation specifics: the pure compute of a per-pane partial
+//! aggregate (the plan's `BuildPane` product, charged by the driver's
+//! build chain) and the window merge body (`MergePanes`), which merges
+//! the pre-grouped sorted pane partials in one linear pass.
 
 use bytes::Bytes;
-use redoop_dfs::{DfsPath, NodeId};
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime, Writable};
+use redoop_mapred::{exec, io as mrio, Mapper, Reducer, Writable};
 
 use crate::adaptive::ExecMode;
 use crate::error::Result;
-use crate::pane::PaneId;
 
-use super::driver::{subpane_charges, BuiltCache, PartitionPrep, WindowCtx};
+use super::driver::{BuiltCache, Finale, PartitionPrep, WindowCtx};
 use super::plan::{output_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -81,184 +71,16 @@ where
         })
     }
 
-    /// Stores a computed pane-output cache on `node` and records the
-    /// build, real side only.
-    fn apply_pane_output(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = output_name(self.active_fp(), source, pane, r);
-        let store = self.interned_store(&name);
-        self.cluster.put_local(node, &*store, built.blob.clone())?;
-        if r == self.conf.num_reducers - 1 {
-            self.matrix.mark_done(&[pane]);
-        }
-        self.built_panes.insert((source, pane.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Compute + apply of one pane-output cache (proactive mode).
-    /// Returns `(input_records, shuffle_bytes, cache_text_bytes)`.
-    fn build_pane_output_real(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built = {
-            let m = self.mapped.get(&(source, pane.0)).expect("pane mapped before build");
-            let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-            Self::pane_output_compute(&m.buckets[r], raw, &*self.reducer, pane.0, r as u32)?
-        };
-        self.apply_pane_output(source, pane, r, node, &built)?;
-        Ok((built.input_records, built.shuffle_text_bytes, built.cache_text_bytes))
-    }
-
-    /// One aggregation window, one partition: build missing pane outputs
-    /// (one individually-charged reduce task per pane in batch mode;
-    /// per-sub-pane early tasks in proactive mode), then merge all pane
-    /// outputs into the final part file.
-    pub(super) fn dispatch_partition_agg(
+    /// The window merge body of one partition: merges every pane partial
+    /// (fresh builds and reused caches alike) into the window result.
+    pub(super) fn merge_panes(
         &mut self,
         plan: &WindowPlan,
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
-        metrics: &mut JobMetrics,
-    ) -> Result<DfsPath> {
-        let rec = plan.recurrence;
-        let panes = &plan.panes;
+    ) -> Result<Finale> {
         let node = prep.node;
-        let missing: Vec<PaneId> = prep.missing.iter().map(|&(_, p)| p).collect();
-        let mut early_done = SimTime::ZERO;
-        // In batch mode the whole partition is one reduce attempt: its
-        // first charged item (build or merge) pays the task start-up,
-        // follow-on items run back-to-back in the same attempt.
-        let mut attempt_startup = true;
-        match ctx.mode {
-            ExecMode::Batch => {
-                // Pure per-pane compute in parallel; state-mutating apply,
-                // charging, and registration stay sequential, in pane
-                // order.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let mapped = &self.mapped;
-                    let reducer = &*self.reducer;
-                    exec::parallel_map(missing.len(), |i| {
-                        let m = mapped
-                            .get(&(0, missing[i].0))
-                            .expect("pane mapped before build");
-                        let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-                        Ok(Self::pane_output_compute(
-                            &m.buckets[r],
-                            raw,
-                            reducer,
-                            missing[i].0,
-                            r as u32,
-                        ))
-                    })?
-                };
-                // One reduce attempt per partition works through its pane
-                // queue sequentially (the paper's one-reduce-task-per-
-                // partition model), so builds chain within the partition;
-                // overlap happens across partitions, whose chains run on
-                // their own anchors/slots.
-                let mut prev_end = SimTime::ZERO;
-                for (&p, built) in missing.iter().zip(computed) {
-                    let built = built?;
-                    self.apply_pane_output(0, p, r, node, &built)?;
-                    let name = output_name(plan.fp, 0, p, r);
-                    // A salvage verdict from the last audit means this
-                    // pane's lost cache still holds `intact` checksummed
-                    // frames on disk: the §5 rollback classifies it as
-                    // partially recoverable and this rebuild pays only
-                    // the missing frame suffix.
-                    let salvage = self.cache.lock().controller.salvaged(&name);
-                    let ready = ctx
-                        .fire
-                        .max(prev_end)
-                        .max(prep.map_ready.get(&(0, p.0)).copied().unwrap_or(ctx.floor));
-                    // Field-for-field the fresh-pane share of the old
-                    // combined window task (input records, shuffle, cache
-                    // write; output_records stays 0 — pane partials count
-                    // as aggregate records at the merge, not as reduce
-                    // output), now charged as its own task.
-                    let mut work = ReduceWork {
-                        shuffle_bytes: built.shuffle_text_bytes,
-                        cache_bytes: 0,
-                        input_records: built.input_records,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: 0,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: built.cache_text_bytes,
-                    };
-                    if let Some((intact, total)) = salvage {
-                        super::driver::scale_partial_rebuild(&mut work, intact, total);
-                    }
-                    let placement = self.charge_reduce(
-                        node,
-                        ready,
-                        &work,
-                        &format!("build/w{rec}/p{}/r{r}", p.0),
-                        attempt_startup,
-                        metrics,
-                    );
-                    attempt_startup = false;
-                    self.register(name, node, built.cache_text_bytes, placement.end);
-                    if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
-                        self.trace.emit(|| redoop_mapred::trace::TraceEvent::Cache {
-                            at: placement.end,
-                            action: redoop_mapred::trace::CacheAction::PartialRebuild,
-                            name: name.store_name(),
-                            node: Some(node),
-                            bytes: built.cache_text_bytes,
-                        });
-                    }
-                    prev_end = placement.end;
-                }
-            }
-            ExecMode::Proactive => {
-                // Pipelined: one small reduce task per map split (sub-pane)
-                // ready as soon as that split's map output exists — only
-                // the final split's work lands after the window closes.
-                for &p in &missing {
-                    let (_recs, _shuffled, bytes) = self.build_pane_output_real(0, p, r, node)?;
-                    let charges = subpane_charges(&self.mapped[&(0, p.0)].slices, r);
-                    let mut pane_done = SimTime::ZERO;
-                    let n = charges.len().max(1) as u64;
-                    for charge in charges {
-                        let work = ReduceWork {
-                            shuffle_bytes: charge.bytes,
-                            cache_bytes: 0,
-                            input_records: charge.records,
-                            merged_records: 0,
-                            aggregate_records: 0,
-                            output_records: charge.records,
-                            hdfs_output_bytes: 0,
-                            local_output_bytes: bytes / n,
-                        };
-                        let placement = self.charge_reduce(
-                            node,
-                            charge.ready,
-                            &work,
-                            "pane",
-                            true,
-                            metrics,
-                        );
-                        pane_done = pane_done.max(placement.end);
-                    }
-                    self.register(output_name(plan.fp, 0, p, r), node, bytes, pane_done);
-                    early_done = early_done.max(pane_done);
-                }
-            }
-        }
-
         // Merge every pane output (cache reads for reused panes) into the
         // window result. Cached partials are pre-grouped sorted runs, so
         // the incremental merge is a linear k-way pass — no re-parsing,
@@ -268,9 +90,9 @@ where
         let mut cache_bytes = 0u64;
         let mut partial_records = 0u64;
         let mut runs: Vec<redoop_mapred::Grouped<M::KOut, R::VOut>> =
-            Vec::with_capacity(panes.len());
+            Vec::with_capacity(plan.panes.len());
         let mut all_sorted = true;
-        for &p in panes {
+        for &p in &plan.panes {
             // Delta-hit panes were sealed at ingestion under the `rd/…`
             // class; everything else (fresh builds, prior-window `ro/…`
             // caches) lives under the plain output name. Both carry the
@@ -336,40 +158,8 @@ where
             out.push('\n');
             output_records += 1;
         }
-        let path = self.conf.output_part(rec, r);
-        let work = ReduceWork {
-            shuffle_bytes: 0,
-            cache_bytes,
-            input_records: 0,
-            merged_records: 0,
-            // Pane partials and the merged window totals are aggregate
-            // records: "pane-based rather than tuple-based" (paper §6.2.1).
-            aggregate_records: partial_records + output_records,
-            output_records: 0,
-            hdfs_output_bytes: out.len() as u64,
-            local_output_bytes: 0,
-        };
-        self.cluster.create(&path, Bytes::from(out))?;
-        // Proactive merges are their own late task (start-up paid, as
-        // before the split); a batch merge continues the partition's
-        // attempt unless there was nothing to build.
-        let merge_startup =
-            attempt_startup || matches!(ctx.mode, ExecMode::Proactive);
-        let placement = self.charge_reduce(
-            node,
-            ready.max(early_done),
-            &work,
-            "merge",
-            merge_startup,
-            metrics,
-        );
-        self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
-            phase: "merge",
-            node: placement.node,
-            start: placement.start,
-            end: placement.end,
-            label: format!("w{rec}/r{r}"),
-        });
-        Ok(path)
+        // Pane partials and the merged window totals are aggregate
+        // records: "pane-based rather than tuple-based" (paper §6.2.1).
+        Ok(Finale { ready, cache_bytes, aggregate_records: partial_records + output_records, out })
     }
 }

@@ -8,16 +8,25 @@
 //!    required-cache set (build tasks are deliberately co-located with
 //!    their partition's finalization task — pane products must live on
 //!    the node that merges them),
-//! 2. walks the partition's build nodes once for centralized cache
-//!    hit/miss accounting and trace emission (formerly four near-
-//!    duplicate inline copies in the agg/join paths),
-//! 3. runs the map stage for missing panes, and
-//! 4. hands off to the agg/join dispatcher, which charges **each build
-//!    task individually** onto the simulated timeline. Because every
-//!    build is its own reduce task with its own ready time, independent
-//!    (pane × partition) builds across all partitions overlap in
-//!    virtual time instead of serializing inside one consolidated task
-//!    per partition.
+//! 2. walks the partition's build nodes once for cache hit/miss
+//!    accounting and trace emission,
+//! 3. runs the map stage for missing panes,
+//! 4. runs every missing pane product through the **build chain**, and
+//! 5. finalizes the partition into its window part file.
+//!
+//! The build chain is the one cache lifecycle of §3 and §5: for each
+//! build task, in plan order, it stores the product's blob on the
+//! anchor, records the build (status matrix, expiry sets) by cache kind,
+//! charges the reduce work — scaled down to the missing frame suffix
+//! when the audit salvaged part of a damaged cache — and registers the
+//! product at the task's end. In batch mode every build is its own
+//! item of the partition's reduce attempt, gated on its own inputs, so
+//! independent (pane × partition) builds across partitions overlap in
+//! virtual time; proactive mode charges one early micro-task per
+//! sub-pane, or one early task per group of pane pairs. Aggregation and
+//! join differ only in what they hand the chain (`agg` / `join`): the
+//! pure compute of each product, the pair tasks' readiness and
+//! old-input reads, and the body of the finalization task.
 //!
 //! Determinism contract: all real compute (mapping, sorting, reducing)
 //! may run on parallel host threads, but every `sim.assign` and every
@@ -71,13 +80,13 @@ pub(super) struct SliceMapInfo {
 /// Per-sub-pane aggregate of [`SliceMapInfo`]: the unit of proactive
 /// reduce pipelining (one early micro-task per *sub-pane*, not per
 /// block — a whole pane is one unit when the plan has no subdivision).
-pub(super) struct SubpaneCharge {
-    pub(super) ready: SimTime,
-    pub(super) bytes: u64,
-    pub(super) records: u64,
+struct SubpaneCharge {
+    ready: SimTime,
+    bytes: u64,
+    records: u64,
 }
 
-pub(super) fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
+fn subpane_charges(slices: &[SliceMapInfo], r: usize) -> Vec<SubpaneCharge> {
     let mut by_slice: std::collections::BTreeMap<usize, SubpaneCharge> =
         std::collections::BTreeMap::new();
     for si in slices {
@@ -139,7 +148,7 @@ pub(super) struct BuiltCache {
 /// `(total - intact) / total` tail. The map stage and the host-side
 /// recomputation stay whole — salvage changes what the simulated reduce
 /// attempt pays, never what is produced.
-pub(super) fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u32) {
+fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u32) {
     if intact == 0 || total == 0 || intact >= total {
         return;
     }
@@ -148,6 +157,18 @@ pub(super) fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u
     work.shuffle_bytes = work.shuffle_bytes * miss / total;
     work.input_records = work.input_records * miss / total;
     work.local_output_bytes = work.local_output_bytes * miss / total;
+}
+
+/// Decodes a pair-output blob into its text and record count. Pair
+/// outputs are unframed text, so the heartbeat audit cannot see damage
+/// to them: an undecodable blob is an error, never silently dropped
+/// records.
+pub(super) fn pair_text<'b>(name: &CacheName, blob: &'b [u8]) -> Result<(&'b str, u64)> {
+    let text = std::str::from_utf8(blob).map_err(|e| {
+        let name = name.store_name();
+        RedoopError::CacheInconsistency(format!("pair output {name} is not text: {e}"))
+    })?;
+    Ok((text, text.lines().count() as u64))
 }
 
 /// Window-level dispatch context threaded through the driver.
@@ -167,12 +188,15 @@ pub(super) struct WindowCtx {
 pub(super) struct PartitionPrep {
     /// Node every task of this partition runs on.
     pub(super) node: NodeId,
-    /// Missing pane products `(source, pane)`, in plan order.
-    pub(super) missing: Vec<(u32, PaneId)>,
-    /// Set twin of `missing` for O(1) membership.
+    /// Missing pane products in plan order: the cache each builds (the
+    /// plan's `produces` name, or the `ro/…` name a missed `FoldDelta`
+    /// falls back to) and the `(source, pane)` it is built from.
+    pub(super) missing: Vec<(CacheName, u32, PaneId)>,
+    /// Set twin of `missing`'s panes for O(1) membership.
     pub(super) missing_set: HashSet<(u32, u64)>,
-    /// Missing pane pairs, in plan (left-major) order.
-    pub(super) todo_pairs: Vec<(PaneId, PaneId)>,
+    /// Missing pane pairs in plan (left-major) order: the pair-output
+    /// cache each builds and its `(left, right)` panes.
+    pub(super) todo_pairs: Vec<(CacheName, PaneId, PaneId)>,
     /// Set twin of `todo_pairs`.
     pub(super) todo_set: HashSet<(u64, u64)>,
     /// Panes whose `FoldDelta` node hit a sealed delta (`rd/…`) cache on
@@ -180,6 +204,88 @@ pub(super) struct PartitionPrep {
     pub(super) delta_hits: HashSet<u64>,
     /// Map-stage completion per missing `(source, pane)`.
     pub(super) map_ready: HashMap<(u32, u64), SimTime>,
+}
+
+/// One partition's reduce attempt, threaded through the build chain to
+/// the finalizer.
+#[derive(Default)]
+pub(super) struct Attempt {
+    /// A batch item was charged: later items (and the finalizer) run
+    /// back-to-back in the same attempt instead of paying start-up.
+    started: bool,
+    /// End of the attempt's last batch item.
+    prev_end: SimTime,
+    /// Latest end of the partition's proactive early tasks.
+    early_done: SimTime,
+}
+
+/// How the build chain charges one task onto the simulated timeline.
+pub(super) enum Charge {
+    /// Batch: the next item of the partition's reduce attempt, ready at
+    /// `gate` (its pane's map completion, or its pair inputs) and after
+    /// the attempt's previous item, streaming `cache_bytes` of old
+    /// inputs.
+    Attempt { gate: SimTime, cache_bytes: u64 },
+    /// Proactive: one early micro-task per sub-pane of the product's
+    /// pane, each ready as soon as that sub-pane's map output exists.
+    Subpanes,
+    /// Proactive: one early task at `ready` building all its products.
+    Early { ready: SimTime },
+}
+
+/// One task of the build chain: the products it materializes and how it
+/// is charged.
+pub(super) struct ChainTask {
+    pub(super) products: Vec<(CacheName, BuiltCache)>,
+    pub(super) charge: Charge,
+}
+
+/// What a partition's finalization task hands the driver: the part
+/// file's contents, its readiness gate, and its charged work.
+pub(super) struct Finale {
+    /// Latest `available_at` of the products the task consumes.
+    pub(super) ready: SimTime,
+    /// Cache bytes the task reads.
+    pub(super) cache_bytes: u64,
+    /// Aggregate records the task merges or copies.
+    pub(super) aggregate_records: u64,
+    /// The window part file.
+    pub(super) out: String,
+}
+
+/// Reduce work of building one product in its own task: pane products
+/// pay their shuffle and sort, pair outputs emit their join records and
+/// stream `cache_bytes` of old inputs.
+fn build_work(name: &CacheName, built: &BuiltCache, cache_bytes: u64) -> Result<ReduceWork> {
+    let mut work = ReduceWork {
+        cache_bytes,
+        local_output_bytes: built.cache_text_bytes,
+        ..Default::default()
+    };
+    match name.object {
+        CacheObject::PairOutput { .. } => work.output_records = pair_text(name, &built.blob)?.1,
+        _ => {
+            work.shuffle_bytes = built.shuffle_text_bytes;
+            work.input_records = built.input_records;
+        }
+    }
+    Ok(work)
+}
+
+/// Task label of a batch build of `name` in recurrence `rec`.
+fn build_label(rec: u64, name: &CacheName) -> String {
+    let r = name.partition;
+    match name.object {
+        CacheObject::PaneInput { source, pane, .. } => {
+            format!("build/w{rec}/s{source}p{}/r{r}", pane.0)
+        }
+        CacheObject::PaneOutput { pane, .. } | CacheObject::PaneDelta { pane, .. } => {
+            format!("build/w{rec}/p{}/r{r}", pane.0)
+        }
+        CacheObject::PairOutput { left, right } => {
+            format!("build/w{rec}/p{}x{}/r{r}", left.0, right.0)
+        }
+    }
 }
 
 impl<M, R> RecurringExecutor<M, R>
@@ -192,8 +298,8 @@ where
     // ------------------------------------------------------------------
 
     /// Dispatches one window plan: per partition, anchor + account +
-    /// map + build/finalize. Returns the output part files in partition
-    /// order.
+    /// map + build chain + finalize. Returns the output part files in
+    /// partition order.
     pub(super) fn drive(
         &mut self,
         plan: &WindowPlan,
@@ -203,15 +309,15 @@ where
         let mut outputs = Vec::with_capacity(plan.num_reducers);
         for r in 0..plan.num_reducers {
             let prep = self.prepare_partition(plan, r, ctx, metrics)?;
-            let path = match plan.kind {
-                PlanKind::Aggregation => {
-                    self.dispatch_partition_agg(plan, r, &prep, ctx, metrics)?
-                }
+            let mut attempt = Attempt::default();
+            self.build_pane_products(plan, &prep, ctx, &mut attempt, metrics)?;
+            let finale = match plan.kind {
+                PlanKind::Aggregation => self.merge_panes(plan, r, &prep, ctx)?,
                 PlanKind::BinaryJoin => {
-                    self.dispatch_partition_join(plan, r, &prep, ctx, metrics)?
+                    self.join_pairs(plan, r, &prep, ctx, &mut attempt, metrics)?
                 }
             };
-            outputs.push(path);
+            outputs.push(self.finalize(plan, r, prep.node, &attempt, finale, metrics)?);
         }
         Ok(outputs)
     }
@@ -234,9 +340,9 @@ where
         let node =
             self.pick_reduce_node(&names, ctx.fire, &format!("w{}/{kind_label}/r{r}", plan.recurrence));
 
-        let mut missing: Vec<(u32, PaneId)> = Vec::new();
+        let mut missing: Vec<(CacheName, u32, PaneId)> = Vec::new();
         let mut missing_set: HashSet<(u32, u64)> = HashSet::new();
-        let mut todo_pairs: Vec<(PaneId, PaneId)> = Vec::new();
+        let mut todo_pairs: Vec<(CacheName, PaneId, PaneId)> = Vec::new();
         let mut todo_set: HashSet<(u64, u64)> = HashSet::new();
         let mut delta_hits: HashSet<u64> = HashSet::new();
         let cache = self.cache.clone();
@@ -251,23 +357,25 @@ where
                 | PlanTask::FoldDelta { .. } => pnode.produces[0],
                 PlanTask::MergePanes { .. } | PlanTask::FinalReduce { .. } => continue,
             };
-            // The cache the merge would read on a hit: the produced name,
-            // except a `FoldDelta` whose delta was lost can still hit the
-            // plain reduce-output cache a previous window's rebuild left.
+            // The cache the merge would read on a hit, and the cache a
+            // miss builds: the produced name, except that a `FoldDelta`
+            // whose delta was lost falls back to the plain reduce-output
+            // cache — hit if a previous window's rebuild left it, else
+            // rebuilt from the raw pane files.
             let mut hit_name = name;
+            let mut build_name = name;
             let hit = match pnode.task {
                 PlanTask::BuildPane { .. } => cached_on(&layer.controller, &name),
                 PlanTask::FoldDelta { source, pane, .. } => {
+                    build_name = super::plan::output_name(plan.fp, source, pane, r);
                     if cached_on(&layer.controller, &name) {
                         delta_hits.insert(pane.0);
                         true
+                    } else if cached_on(&layer.controller, &build_name) {
+                        hit_name = build_name;
+                        true
                     } else {
-                        let fallback = super::plan::output_name(plan.fp, source, pane, r);
-                        let fallback_hit = cached_on(&layer.controller, &fallback);
-                        if fallback_hit {
-                            hit_name = fallback;
-                        }
-                        fallback_hit
+                        false
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
@@ -311,19 +419,15 @@ where
             }
             self.win_stats.cache_misses += 1;
             match pnode.task {
-                // A missed fold means the pane's delta state was lost (or
-                // never maintained): fall back to rebuilding this pane
-                // partition from the raw pane files, exactly the
-                // `BuildPane` path.
                 PlanTask::BuildPane { source, pane, .. }
                 | PlanTask::FoldDelta { source, pane, .. } => {
                     if missing_set.insert((source, pane.0)) {
-                        missing.push((source, pane));
+                        missing.push((build_name, source, pane));
                     }
                 }
                 PlanTask::BuildPair { left, right, .. } => {
                     if todo_set.insert((left.0, right.0)) {
-                        todo_pairs.push((left, right));
+                        todo_pairs.push((build_name, left, right));
                     }
                 }
                 _ => unreachable!(),
@@ -333,7 +437,7 @@ where
 
         // Map stage for missing panes. Membership is a set probe, not a
         // scan over the window's pane list.
-        for &(s, p) in &missing {
+        for &(_, s, p) in &missing {
             self.lists.reopen_map(MapTaskEntry { source: s, pane: p, sub: 0 });
         }
         let mut map_ready: HashMap<(u32, u64), SimTime> = HashMap::new();
@@ -344,6 +448,204 @@ where
             }
         }
         Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits, map_ready })
+    }
+
+    // ------------------------------------------------------------------
+    // Build chain
+    // ------------------------------------------------------------------
+
+    /// Builds the partition's missing pane products — partial aggregates
+    /// (`ro/…`) or sorted reduce-input runs (`ri/…`) — through the
+    /// chain. The pure compute runs on parallel host threads; the chain
+    /// charges the products in plan order, each as the next item of the
+    /// reduce attempt (batch) or as per-sub-pane early tasks (proactive).
+    fn build_pane_products(
+        &mut self,
+        plan: &WindowPlan,
+        prep: &PartitionPrep,
+        ctx: WindowCtx,
+        attempt: &mut Attempt,
+        metrics: &mut JobMetrics,
+    ) -> Result<()> {
+        let computed: Vec<Result<BuiltCache>> = {
+            let mapped = &self.mapped;
+            let reducer = &*self.reducer;
+            exec::parallel_map(prep.missing.len(), |i| {
+                let (name, s, p) = prep.missing[i];
+                let r = name.partition;
+                let m = mapped.get(&(s, p.0)).expect("pane mapped before build");
+                let raw = m.raw[r].lock().expect("raw pairs lock").clone();
+                Ok(match name.object {
+                    CacheObject::PaneInput { .. } => {
+                        Self::input_cache_compute(&m.buckets[r], raw, p.0, r as u32)
+                    }
+                    _ => Self::pane_output_compute(&m.buckets[r], raw, reducer, p.0, r as u32),
+                })
+            })?
+        };
+        let tasks = prep.missing.iter().zip(computed).map(|(&(name, s, p), built)| {
+            let charge = match ctx.mode {
+                ExecMode::Batch => Charge::Attempt {
+                    gate: prep.map_ready.get(&(s, p.0)).copied().unwrap_or(ctx.floor),
+                    cache_bytes: 0,
+                },
+                ExecMode::Proactive => Charge::Subpanes,
+            };
+            Ok(ChainTask { products: vec![(name, built?)], charge })
+        });
+        self.build_chain(plan.recurrence, prep.node, ctx, attempt, tasks, metrics)
+    }
+
+    /// The build chain (see module docs): for each task in order, stores
+    /// its products on `node`, records the builds, charges the reduce
+    /// work — scaled to the missing suffix of a salvaged cache — and
+    /// registers the products at the task's end.
+    pub(super) fn build_chain(
+        &mut self,
+        rec: u64,
+        node: NodeId,
+        ctx: WindowCtx,
+        attempt: &mut Attempt,
+        tasks: impl IntoIterator<Item = Result<ChainTask>>,
+        metrics: &mut JobMetrics,
+    ) -> Result<()> {
+        for task in tasks {
+            let ChainTask { products, charge } = task?;
+            for (name, built) in &products {
+                self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
+                self.note_built(name);
+            }
+            // A salvage verdict from the last audit means the product's
+            // lost cache still holds `intact` checksummed frames on disk:
+            // the §5 rollback classifies it as partially recoverable and
+            // this rebuild pays only the missing frame suffix.
+            let salvage = match products.as_slice() {
+                [(name, _)] => self.cache.lock().controller.salvaged(name),
+                _ => None,
+            };
+            let items: Vec<(SimTime, ReduceWork, String, bool)> = match charge {
+                Charge::Attempt { gate, cache_bytes } => {
+                    let (name, built) = &products[0];
+                    let ready = ctx.fire.max(attempt.prev_end).max(gate);
+                    let work = build_work(name, built, cache_bytes)?;
+                    vec![(ready, work, build_label(rec, name), !attempt.started)]
+                }
+                Charge::Subpanes => {
+                    let (name, built) = &products[0];
+                    let (source, pane) = pane_of(name).expect("sub-pane tasks build panes");
+                    let slices = &self.mapped[&(source, pane.0)].slices;
+                    let charges = subpane_charges(slices, name.partition);
+                    let n = charges.len().max(1) as u64;
+                    charges
+                        .into_iter()
+                        .map(|c| {
+                            let work = ReduceWork {
+                                shuffle_bytes: c.bytes,
+                                input_records: c.records,
+                                output_records: c.records,
+                                local_output_bytes: built.cache_text_bytes / n,
+                                ..Default::default()
+                            };
+                            (c.ready, work, "pane".to_string(), true)
+                        })
+                        .collect()
+                }
+                Charge::Early { ready } => {
+                    let mut work = ReduceWork::default();
+                    for (name, built) in &products {
+                        let w = build_work(name, built, 0)?;
+                        work.output_records += w.output_records;
+                        work.local_output_bytes += w.local_output_bytes;
+                    }
+                    vec![(ready, work, "join".to_string(), true)]
+                }
+            };
+            let mut end = SimTime::ZERO;
+            for (ready, mut work, label, startup) in items {
+                if let Some((intact, total)) = salvage {
+                    scale_partial_rebuild(&mut work, intact, total);
+                }
+                end = end.max(self.charge_reduce(node, ready, &work, &label, startup, metrics).end);
+            }
+            if matches!(charge, Charge::Attempt { .. }) {
+                attempt.started = true;
+                attempt.prev_end = end;
+            } else {
+                attempt.early_done = attempt.early_done.max(end);
+            }
+            for (name, built) in &products {
+                self.register(*name, node, built.cache_text_bytes, end);
+                if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
+                    self.trace.emit(|| TraceEvent::Cache {
+                        at: end,
+                        action: CacheAction::PartialRebuild,
+                        name: name.store_name(),
+                        node: Some(node),
+                        bytes: built.cache_text_bytes,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Records one fresh build by cache kind: pane products join the
+    /// expiry sweep's pane set (a partial aggregate also completes its
+    /// pane in the status matrix once the last partition is built), pair
+    /// outputs mark their pair done.
+    fn note_built(&mut self, name: &CacheName) {
+        match name.object {
+            CacheObject::PaneOutput { source, pane }
+            | CacheObject::PaneDelta { source, pane } => {
+                if name.partition == self.conf.num_reducers - 1 {
+                    self.matrix.mark_done(&[pane]);
+                }
+                self.built_panes.insert((source, pane.0));
+            }
+            CacheObject::PaneInput { source, pane, .. } => {
+                self.built_panes.insert((source, pane.0));
+            }
+            CacheObject::PairOutput { left, right } => {
+                self.matrix.mark_done(&[left, right]);
+                self.built_pairs.insert((left.0, right.0));
+            }
+        }
+        self.window_built += 1;
+    }
+
+    /// Writes the partition's window part file and charges the "merge"
+    /// task that produced it, gated on every consumed product and on the
+    /// proactive early tasks. A batch merge continues the partition's
+    /// reduce attempt unless nothing was built; a proactive merge is its
+    /// own late task and pays start-up.
+    fn finalize(
+        &mut self,
+        plan: &WindowPlan,
+        r: usize,
+        node: NodeId,
+        attempt: &Attempt,
+        finale: Finale,
+        metrics: &mut JobMetrics,
+    ) -> Result<DfsPath> {
+        let rec = plan.recurrence;
+        let path = self.conf.output_part(rec, r);
+        let work = ReduceWork {
+            cache_bytes: finale.cache_bytes,
+            aggregate_records: finale.aggregate_records,
+            hdfs_output_bytes: finale.out.len() as u64,
+            ..Default::default()
+        };
+        self.cluster.create(&path, bytes::Bytes::from(finale.out))?;
+        let ready = finale.ready.max(attempt.early_done);
+        let placement = self.charge_reduce(node, ready, &work, "merge", !attempt.started, metrics);
+        self.trace.emit(|| TraceEvent::TaskSpan {
+            phase: "merge",
+            node: placement.node,
+            start: placement.start,
+            end: placement.end,
+            label: format!("w{rec}/r{r}"),
+        });
+        Ok(path)
     }
 
     // ------------------------------------------------------------------
@@ -748,11 +1050,6 @@ where
     // ------------------------------------------------------------------
     // Cache registration
     // ------------------------------------------------------------------
-
-    /// Whether `name` is materialized on `node` specifically.
-    pub(super) fn cached_on(&self, name: &CacheName, node: NodeId) -> bool {
-        self.cache.lock().controller.location(name) == Some(node)
-    }
 
     /// Registers a cache this query built on `node` with the cache layer
     /// (which reclaims any stale copy, policy victims, or a refused

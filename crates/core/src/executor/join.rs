@@ -1,35 +1,34 @@
-//! Binary-join tasks: reduce-input cache builds, pane-pair joins, and
-//! the window concatenation (the plan's `BuildPane` / `BuildPair` /
-//! `FinalReduce` nodes).
+//! Binary-join specifics: the pure compute of reduce-input caches and
+//! pane-pair joins, the pair tasks' readiness and old-input reads, and
+//! the window concatenation body (`FinalReduce`). The driver's build
+//! chain stores, charges and registers every product.
 //!
-//! In batch mode every missing input cache and every outstanding pane
-//! pair is **its own reduce task**: input builds are gated on their
-//! pane's map completion, pair joins on both inputs' `available_at`, so
-//! independent builds across partitions overlap on the simulated
-//! timeline. An old (reused) input participating in new pairs is
-//! charged as a cache read exactly once — in the first pair task that
-//! streams it — keeping the charged bytes linear in the inputs, as in
-//! the paper's incremental processing ("reducers only need to process
-//! the incremental inputs", §6.2.2). Proactive mode keeps the per-sub-
-//! pane input pipelining and the pair groups keyed by the later-
-//! available input. The final task concatenates every in-window pair
-//! output, gated on all pair `available_at`s.
+//! A pair task is gated on both inputs' `available_at`. An old (reused)
+//! input participating in new pairs is charged as a cache read exactly
+//! once — in batch mode by the first pair task that streams it, in
+//! proactive mode by the concatenation — keeping the charged bytes
+//! linear in the inputs, as in the paper's incremental processing
+//! ("reducers only need to process the incremental inputs", §6.2.2).
+//! Proactive pairs run as early tasks grouped by the later-available
+//! input.
 //!
 //! Joins cannot attach shared sources, so every cache name in this
 //! module carries the executor's cluster-unique namespace fingerprint
 //! (0, the legacy names, for the first owned-source query on a cluster).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use bytes::Bytes;
-use redoop_dfs::{Cluster, DfsPath, NodeId};
-use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, ReduceWork, Reducer, SimTime};
+use redoop_dfs::{Cluster, NodeId};
+use redoop_mapred::{exec, io as mrio, JobMetrics, Mapper, Reducer, SimTime};
 
 use crate::adaptive::ExecMode;
 use crate::error::Result;
 use crate::pane::PaneId;
 
-use super::driver::{subpane_charges, BuiltCache, PartitionPrep, WindowCtx};
+use super::driver::{
+    pair_text, Attempt, BuiltCache, ChainTask, Charge, Finale, PartitionPrep, WindowCtx,
+};
 use super::plan::{input_name, pair_name, WindowPlan};
 use super::RecurringExecutor;
 
@@ -42,7 +41,7 @@ where
     /// shuffle bucket for one partition and encode the sorted run as a
     /// grouped block, so later incremental merges consume it without
     /// re-parsing or re-sorting. No executor state is touched.
-    fn input_cache_compute(
+    pub(super) fn input_cache_compute(
         bucket: &mrio::ShuffleBucket,
         pairs: Vec<(M::KOut, M::VOut)>,
         pane: u64,
@@ -101,345 +100,80 @@ where
         })
     }
 
-    /// Stores a computed reduce-input cache on `node` and records the
-    /// build, real side only.
-    fn apply_input_cache(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = input_name(self.active_fp(), source, pane, r);
-        self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
-        self.built_panes.insert((source, pane.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Stores a computed pair-output cache on `node` and records the
-    /// build, real side only.
-    fn apply_pair_output(
-        &mut self,
-        left: PaneId,
-        right: PaneId,
-        r: usize,
-        node: NodeId,
-        built: &BuiltCache,
-    ) -> Result<()> {
-        let name = pair_name(self.active_fp(), left, right, r);
-        self.cluster.put_local(node, name.store_name(), built.blob.clone())?;
-        self.matrix.mark_done(&[left, right]);
-        self.built_pairs.insert((left.0, right.0));
-        self.window_built += 1;
-        Ok(())
-    }
-
-    /// Compute + apply of one reduce-input cache (proactive mode builds
-    /// panes one at a time as their data arrives). Returns
-    /// `(input_records, shuffle_bytes, cache_text_bytes)`.
-    fn build_input_cache_real(
-        &mut self,
-        source: u32,
-        pane: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built = {
-            let m = self.mapped.get(&(source, pane.0)).expect("pane mapped before build");
-            let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-            Self::input_cache_compute(&m.buckets[r], raw, pane.0, r as u32)?
-        };
-        self.apply_input_cache(source, pane, r, node, &built)?;
-        Ok((built.input_records, built.shuffle_text_bytes, built.cache_text_bytes))
-    }
-
-    /// Compute + apply of one pair-output cache (proactive mode).
-    /// Returns `(input_records, pair_cache_bytes, inputs_read_bytes)`.
-    fn build_pair_output_real(
-        &mut self,
-        left: PaneId,
-        right: PaneId,
-        r: usize,
-        node: NodeId,
-    ) -> Result<(u64, u64, u64)> {
-        let built = Self::pair_output_compute(
-            &self.cluster,
-            node,
-            self.active_fp(),
-            left,
-            right,
-            r,
-            &*self.reducer,
-        )?;
-        self.apply_pair_output(left, right, r, node, &built)?;
-        Ok((built.input_records, built.cache_text_bytes, built.shuffle_text_bytes))
-    }
-
-    /// One join window, one partition: build missing input caches and
-    /// outstanding pane pairs (each its own charged reduce task in batch
-    /// mode), then concatenate all in-window pair outputs into the final
-    /// part file.
-    pub(super) fn dispatch_partition_join(
+    /// Joins the partition's outstanding pane pairs through the build
+    /// chain (the input caches they read are already on the anchor),
+    /// then concatenates every in-window pair output.
+    pub(super) fn join_pairs(
         &mut self,
         plan: &WindowPlan,
         r: usize,
         prep: &PartitionPrep,
         ctx: WindowCtx,
+        attempt: &mut Attempt,
         metrics: &mut JobMetrics,
-    ) -> Result<DfsPath> {
-        let (rec, fp) = (plan.recurrence, plan.fp);
-        let panes = &plan.panes;
-        let node = prep.node;
-        let mut early_done = SimTime::ZERO;
-        // Cache reads the final task still owes for old inputs (proactive
-        // mode charges them at the concat, as before the split).
-        let mut concat_old_input_reads = 0u64;
-        // In batch mode the whole partition is one reduce attempt: its
-        // first charged item (input build, pair, or concat) pays the task
-        // start-up, follow-on items run back-to-back in the same attempt.
-        let mut attempt_startup = true;
-        match ctx.mode {
-            ExecMode::Batch => {
-                // Sort the missing panes' buckets into input caches, in
-                // parallel; apply + charge sequentially in plan order.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let mapped = &self.mapped;
-                    exec::parallel_map(prep.missing.len(), |i| {
-                        let (s, p) = prep.missing[i];
-                        let m =
-                            mapped.get(&(s, p.0)).expect("pane mapped before build");
-                        let raw = m.raw[r].lock().expect("raw pairs lock").clone();
-                        Ok(Self::input_cache_compute(&m.buckets[r], raw, p.0, r as u32))
-                    })?
-                };
-                // One reduce attempt per partition works through its
-                // build queue (inputs, then pairs) sequentially — the
-                // paper's one-reduce-task-per-partition model. Overlap
-                // happens across partitions on their own anchors/slots.
-                let mut prev_end = SimTime::ZERO;
-                for (&(s, p), built) in prep.missing.iter().zip(computed) {
-                    let built = built?;
-                    self.apply_input_cache(s, p, r, node, &built)?;
-                    let name = input_name(fp, s, p, r);
-                    // A salvage verdict means most of the lost input
-                    // cache's frames survive on disk: this rebuild pays
-                    // only the missing suffix (§5 partial recovery).
-                    let salvage = self.cache.lock().controller.salvaged(&name);
-                    let ready = ctx
-                        .fire
-                        .max(prev_end)
-                        .max(prep.map_ready.get(&(s, p.0)).copied().unwrap_or(ctx.floor));
-                    // Field-for-field the fresh-input share of the old
-                    // combined window task (shuffle, reduce input, cache
-                    // write; output_records stays 0 — join output is
-                    // charged by the pair tasks), now its own task.
-                    let mut work = ReduceWork {
-                        shuffle_bytes: built.shuffle_text_bytes,
-                        cache_bytes: 0,
-                        input_records: built.input_records,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: 0,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: built.cache_text_bytes,
-                    };
-                    if let Some((intact, total)) = salvage {
-                        super::driver::scale_partial_rebuild(&mut work, intact, total);
-                    }
-                    let placement = self.charge_reduce(
-                        node,
-                        ready,
-                        &work,
-                        &format!("build/w{rec}/s{s}p{}/r{r}", p.0),
-                        attempt_startup,
-                        metrics,
-                    );
-                    attempt_startup = false;
-                    self.register(name, node, built.cache_text_bytes, placement.end);
-                    if salvage.is_some_and(|(i, t)| i > 0 && i < t) {
-                        self.trace.emit(|| redoop_mapred::trace::TraceEvent::Cache {
-                            at: placement.end,
-                            action: redoop_mapred::trace::CacheAction::PartialRebuild,
-                            name: name.store_name(),
-                            node: Some(node),
-                            bytes: built.cache_text_bytes,
-                        });
-                    }
-                    prev_end = placement.end;
-                }
-                // Every input cache this window needs is now on `node`:
-                // join the outstanding pane pairs in parallel, charge
-                // each pair as its own task gated on both inputs.
-                let computed: Vec<Result<BuiltCache>> = {
-                    let cluster = &self.cluster;
-                    let reducer = &*self.reducer;
-                    exec::parallel_map(prep.todo_pairs.len(), |i| {
-                        let (p, q) = prep.todo_pairs[i];
-                        Ok(Self::pair_output_compute(cluster, node, fp, p, q, r, reducer))
-                    })?
-                };
-                let mut old_seen: HashSet<(u32, u64)> = HashSet::new();
-                for (&(p, q), built) in prep.todo_pairs.iter().zip(computed) {
-                    let built = built?;
-                    self.apply_pair_output(p, q, r, node, &built)?;
-                    let mut ready = ctx.fire.max(prev_end);
-                    let mut cache_bytes = 0u64;
+    ) -> Result<Finale> {
+        let (rec, fp, node) = (plan.recurrence, plan.fp, prep.node);
+        // Each pair is ready once both inputs are; an old input's
+        // pre-sorted run is streamed once, by the first pair touching it.
+        let mut old_seen: HashSet<(u32, u64)> = HashSet::new();
+        let gates: Vec<(SimTime, u64)> = {
+            let layer = self.cache.lock();
+            prep.todo_pairs
+                .iter()
+                .map(|&(_, p, q)| {
+                    let (mut gate, mut old_reads) = (SimTime::ZERO, 0u64);
                     for (s, pane) in [(0u32, p), (1u32, q)] {
-                        let sig = self
-                            .cache
-                            .lock()
+                        let sig = layer
                             .controller
                             .signature(&input_name(fp, s, pane, r))
-                            .cloned()
                             .expect("pair inputs exist before the join");
-                        ready = ready.max(sig.available_at);
-                        // An old input's pre-sorted run is streamed once;
-                        // the first pair that touches it pays the read.
-                        if !prep.missing_set.contains(&(s, pane.0))
-                            && old_seen.insert((s, pane.0))
-                        {
-                            cache_bytes += sig.bytes;
+                        gate = gate.max(sig.available_at);
+                        let old = !prep.missing_set.contains(&(s, pane.0));
+                        if old && old_seen.insert((s, pane.0)) {
+                            old_reads += sig.bytes;
                         }
                     }
-                    let pair_records = std::str::from_utf8(&built.blob)
-                        .map(|t| t.lines().count() as u64)
-                        .unwrap_or(0);
-                    let work = ReduceWork {
-                        shuffle_bytes: 0,
-                        cache_bytes,
-                        input_records: 0,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: pair_records,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: built.cache_text_bytes,
-                    };
-                    let placement = self.charge_reduce(
-                        node,
-                        ready,
-                        &work,
-                        &format!("build/w{rec}/p{}x{}/r{r}", p.0, q.0),
-                        attempt_startup,
-                        metrics,
-                    );
-                    attempt_startup = false;
-                    self.register(pair_name(fp, p, q, r), node, built.cache_text_bytes, placement.end);
-                    prev_end = placement.end;
-                }
+                    (gate, old_reads)
+                })
+                .collect()
+        };
+        let computed: Vec<Result<BuiltCache>> = {
+            let cluster = &self.cluster;
+            let reducer = &*self.reducer;
+            exec::parallel_map(prep.todo_pairs.len(), |i| {
+                let (_, p, q) = prep.todo_pairs[i];
+                Ok(Self::pair_output_compute(cluster, node, fp, p, q, r, reducer))
+            })?
+        };
+        let pairs = prep.todo_pairs.iter().map(|&(name, ..)| name).zip(computed).zip(gates);
+        // Old-input reads the concatenation still owes (proactive mode).
+        let mut concat_old_reads = 0u64;
+        match ctx.mode {
+            ExecMode::Batch => {
+                let tasks = pairs.map(|((name, built), (gate, cache_bytes))| {
+                    Ok(ChainTask {
+                        products: vec![(name, built?)],
+                        charge: Charge::Attempt { gate, cache_bytes },
+                    })
+                });
+                self.build_chain(rec, node, ctx, attempt, tasks, metrics)?;
             }
             ExecMode::Proactive => {
-                // Input-cache availability per pane on `node`, prefilled
-                // from reused caches, then updated as missing inputs are
-                // built sub-pane by sub-pane.
-                let mut input_avail: HashMap<(u32, u64), SimTime> = HashMap::new();
-                for s in 0..2u32 {
-                    for &p in panes {
-                        let name = input_name(fp, s, p, r);
-                        if self.cached_on(&name, node) {
-                            let sig = self.cache.lock().controller.signature(&name).cloned();
-                            let at = sig.expect("cached").available_at;
-                            input_avail.insert((s, p.0), at);
-                        }
-                    }
+                // One early task per group of pairs whose inputs became
+                // available together.
+                let mut groups: BTreeMap<SimTime, Vec<_>> = BTreeMap::new();
+                for ((name, built), (gate, old_reads)) in pairs {
+                    concat_old_reads += old_reads;
+                    groups.entry(gate).or_default().push((name, built));
                 }
-                // Old pane inputs participating in new pairs are streamed
-                // from the local cache ONCE (they are pre-sorted; the
-                // incremental join is a linear merge).
-                let mut old_panes_touched: BTreeSet<(u32, u64)> = BTreeSet::new();
-                for &(p, q) in &prep.todo_pairs {
-                    if !prep.missing_set.contains(&(0, p.0)) {
-                        old_panes_touched.insert((0, p.0));
-                    }
-                    if !prep.missing_set.contains(&(1, q.0)) {
-                        old_panes_touched.insert((1, q.0));
-                    }
-                }
-                for &(src, p) in &old_panes_touched {
-                    if let Some(sig) =
-                        self.cache.lock().controller.signature(&input_name(fp, src, PaneId(p), r))
-                    {
-                        concat_old_input_reads += sig.bytes;
-                    }
-                }
-                // Build each missing input as its sub-panes arrive
-                // (pipelined per map split).
-                for &(s, p) in &prep.missing {
-                    let (_recs, _shuffled, bytes) = self.build_input_cache_real(s, p, r, node)?;
-                    let charges = subpane_charges(&self.mapped[&(s, p.0)].slices, r);
-                    let mut pane_done = SimTime::ZERO;
-                    let n = charges.len().max(1) as u64;
-                    for charge in charges {
-                        let work = ReduceWork {
-                            shuffle_bytes: charge.bytes,
-                            cache_bytes: 0,
-                            input_records: charge.records,
-                            merged_records: 0,
-                            aggregate_records: 0,
-                            output_records: charge.records,
-                            hdfs_output_bytes: 0,
-                            local_output_bytes: bytes / n,
-                        };
-                        let placement = self.charge_reduce(
-                            node,
-                            charge.ready,
-                            &work,
-                            "pane",
-                            true,
-                            metrics,
-                        );
-                        pane_done = pane_done.max(placement.end);
-                    }
-                    self.register(input_name(fp, s, p, r), node, bytes, pane_done);
-                    input_avail.insert((s, p.0), pane_done);
-                }
-                // Join pairs as soon as both inputs exist, grouped by the
-                // later-available input.
-                let mut pair_groups: HashMap<u64, Vec<(PaneId, PaneId)>> = HashMap::new();
-                for &(p, q) in &prep.todo_pairs {
-                    let tp = input_avail.get(&(0, p.0)).copied().unwrap_or(ctx.floor);
-                    let tq = input_avail.get(&(1, q.0)).copied().unwrap_or(ctx.floor);
-                    pair_groups.entry(tp.max(tq).0).or_default().push((p, q));
-                }
-                let mut keys: Vec<u64> = pair_groups.keys().copied().collect();
-                keys.sort_unstable();
-                for key in keys {
-                    let pairs = pair_groups[&key].clone();
-                    let mut outs = 0u64;
-                    let mut group_local_out = 0u64;
-                    let mut built: Vec<(crate::cache::CacheName, u64)> = Vec::new();
-                    for &(p, q) in &pairs {
-                        let (_recs, bytes, _read) = self.build_pair_output_real(p, q, r, node)?;
-                        group_local_out += bytes;
-                        outs += self
-                            .cluster
-                            .get_local(node, &pair_name(fp, p, q, r).store_name())
-                            .map(|b| {
-                                std::str::from_utf8(&b)
-                                    .map(|t| t.lines().count() as u64)
-                                    .unwrap_or(0)
-                            })
-                            .unwrap_or(0);
-                        built.push((pair_name(fp, p, q, r), bytes));
-                    }
-                    let work = ReduceWork {
-                        shuffle_bytes: 0,
-                        cache_bytes: 0,
-                        input_records: 0,
-                        merged_records: 0,
-                        aggregate_records: 0,
-                        output_records: outs,
-                        hdfs_output_bytes: 0,
-                        local_output_bytes: group_local_out,
-                    };
-                    let placement =
-                        self.charge_reduce(node, SimTime(key), &work, "join", true, metrics);
-                    for (name, bytes) in built {
-                        self.register(name, node, bytes, placement.end);
-                    }
-                    early_done = early_done.max(placement.end);
-                }
+                let tasks = groups.into_iter().map(|(ready, group)| {
+                    let products = group
+                        .into_iter()
+                        .map(|(name, built)| Ok((name, built?)))
+                        .collect::<Result<_>>()?;
+                    Ok(ChainTask { products, charge: Charge::Early { ready } })
+                });
+                self.build_chain(rec, node, ctx, attempt, tasks, metrics)?;
             }
         }
 
@@ -451,8 +185,8 @@ where
         let mut reused_cache_bytes = 0u64;
         let mut out = String::new();
         let mut concat_records = 0u64;
-        for &p in panes {
-            for &q in panes {
+        for &p in &plan.panes {
+            for &q in &plan.panes {
                 let name = pair_name(fp, p, q, r);
                 let fresh = prep.todo_set.contains(&(p.0, q.0));
                 if let Some(sig) = self.cache.lock().controller.signature(&name) {
@@ -462,41 +196,18 @@ where
                     }
                 }
                 let data = self.cluster.get_local(node, &name.store_name())?;
-                let text = std::str::from_utf8(&data).unwrap_or("");
-                concat_records += text.lines().count() as u64;
+                let (text, records) = pair_text(&name, &data)?;
+                concat_records += records;
                 out.push_str(text);
             }
         }
-        let path = self.conf.output_part(rec, r);
-        let work = ReduceWork {
-            shuffle_bytes: 0,
-            cache_bytes: concat_old_input_reads + reused_cache_bytes,
-            input_records: 0,
-            merged_records: 0,
+        Ok(Finale {
+            ready,
+            cache_bytes: concat_old_reads + reused_cache_bytes,
             // Concatenating cached pair outputs is a byte copy, not
             // per-tuple recomputation.
             aggregate_records: concat_records,
-            output_records: 0,
-            hdfs_output_bytes: out.len() as u64,
-            local_output_bytes: 0,
-        };
-        self.cluster.create(&path, Bytes::from(out))?;
-        let placement =
-            self.charge_reduce(
-                node,
-                ready.max(early_done),
-                &work,
-                "merge",
-                attempt_startup || matches!(ctx.mode, ExecMode::Proactive),
-                metrics,
-            );
-        self.trace.emit(|| redoop_mapred::trace::TraceEvent::TaskSpan {
-            phase: "merge",
-            node: placement.node,
-            start: placement.start,
-            end: placement.end,
-            label: format!("w{rec}/r{r}"),
-        });
-        Ok(path)
+            out,
+        })
     }
 }

@@ -6,11 +6,13 @@
 //!   Pure data, unit-testable without a cluster.
 //! * **Driver** (the private `driver` module): the single dispatcher consuming
 //!   the DAG — Eq. 4 placement, centralized cache hit/miss accounting,
-//!   the map stage, per-task virtual-time charging (independent
-//!   pane × partition builds overlap on the simulated timeline), trace
-//!   emission, the §5 recovery audit, and post-window expiry/purging.
-//!   Aggregation- and join-specific task bodies live in the private
-//!   `agg` / `join` submodules.
+//!   the map stage, the build chain that stores, charges and registers
+//!   every pane product (independent pane × partition builds overlap on
+//!   the simulated timeline), the finalization task, trace emission, the
+//!   §5 recovery audit, and post-window expiry/purging. The private
+//!   `agg` / `join` submodules hold only what differs between the two
+//!   query shapes: product compute, pair readiness, and the merge versus
+//!   concatenation body.
 //! * **Deployment** ([`crate::deployment`]): owns shared sources plus N
 //!   executors and interleaves their ingestion and window firings on one
 //!   shared virtual clock.
@@ -546,17 +548,16 @@ where
         self.cache_bit
     }
 
-    /// Debug-build invariant: the cache layer's two byte ledgers agree
-    /// (see [`CacheLayer::check_accounting`]) — one check covers every
-    /// query on the layer. Skipped for the caching-off ablation, which
-    /// invalidates controller entries without visiting registries.
-    #[cfg(debug_assertions)]
-    fn debug_check_cache_accounting(&self) {
-        if self.options.caching {
-            if let Err(e) = self.cache.check_accounting(&self.cluster) {
-                panic!("{e}");
-            }
+    /// Whether the cache layer's two byte ledgers agree (see
+    /// [`CacheLayer::check_accounting`]) — one check covers every query
+    /// on the layer. Debug builds assert it after every window. Vacuous
+    /// for the caching-off ablation, which invalidates controller
+    /// entries without visiting registries.
+    pub fn check_cache_accounting(&self) -> std::result::Result<(), String> {
+        if !self.options.caching {
+            return Ok(());
         }
+        self.cache.check_accounting(&self.cluster)
     }
 
     /// The query's window constraints (identical across all sources —
@@ -733,7 +734,9 @@ where
         self.expire_and_purge(rec)?;
         self.mapped.clear();
         #[cfg(debug_assertions)]
-        self.debug_check_cache_accounting();
+        if let Err(e) = self.check_cache_accounting() {
+            panic!("{e}");
+        }
 
         let response = metrics.finished_at.saturating_sub(fire);
         let input_bytes = metrics.counters.get(cnames::HDFS_BYTES_READ);
@@ -765,7 +768,9 @@ where
     let mut all: Vec<(K, V)> = Vec::new();
     for p in outputs {
         let data = cluster.read(p)?;
-        all.extend(mrio::decode_kv_block::<K, V>(std::str::from_utf8(&data).unwrap_or(""))?);
+        let text = std::str::from_utf8(&data)
+            .map_err(|e| RedoopError::BadRecord(format!("output part {p} is not text: {e}")))?;
+        all.extend(mrio::decode_kv_block::<K, V>(text)?);
     }
     all.sort();
     Ok(all)

@@ -49,7 +49,6 @@ pub mod speculate;
 pub mod split;
 pub mod task;
 pub mod trace;
-pub mod tracker;
 pub mod writable;
 
 pub use combiner::Combiner;
@@ -72,5 +71,4 @@ pub use speculate::{speculate_stragglers, SpeculationOutcome};
 pub use split::InputSplit;
 pub use task::{MapWork, ReduceWork, TaskId, TaskKind};
 pub use trace::{CacheAction, NodeScore, TraceEvent, TraceSink, WindowTraceStats};
-pub use tracker::{JobHistoryEntry, JobId, JobTracker};
 pub use writable::Writable;

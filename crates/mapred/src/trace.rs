@@ -219,13 +219,6 @@ pub enum TraceEvent {
         /// Expired pane.
         pane: u64,
     },
-    /// A job entered the tracker.
-    JobSubmit {
-        /// Submission time.
-        at: SimTime,
-        /// Job name.
-        name: String,
-    },
     /// A Local Cache Registry purge scan ran.
     PurgeScan {
         /// Virtual time of the scan.
@@ -379,11 +372,6 @@ impl TraceEvent {
                     "{{\"type\":\"pane_expire\",\"at_us\":{},\"source\":{},\"pane\":{}}}",
                     at.0, source, pane
                 );
-            }
-            TraceEvent::JobSubmit { at, name } => {
-                let _ = write!(out, "{{\"type\":\"job_submit\",\"at_us\":{},\"name\":\"", at.0);
-                escape_json(name, out);
-                out.push_str("\"}");
             }
             TraceEvent::PurgeScan { at, node, trigger, purged } => {
                 let _ = write!(
@@ -600,7 +588,7 @@ impl WindowTraceStats {
 static GLOBAL_SINK: Mutex<Option<TraceSink>> = Mutex::new(None);
 
 /// Installs (or clears) the process-wide default sink picked up by newly
-/// built simulators, executors, and trackers. Mirrors
+/// built simulators and executors. Mirrors
 /// `exec::set_host_parallelism`. Tests needing isolation should thread an
 /// explicit sink instead.
 pub fn set_global_sink(sink: Option<TraceSink>) {
@@ -642,7 +630,7 @@ mod tests {
     fn clones_share_the_journal() {
         let sink = TraceSink::with_capacity(8);
         let clone = sink.clone();
-        clone.emit(|| TraceEvent::JobSubmit { at: SimTime(7), name: "wc".into() });
+        clone.emit(|| TraceEvent::PaneSeal { at: SimTime(7), source: 0, pane: 1 });
         assert_eq!(sink.len(), 1);
         clone.set_now(SimTime(42));
         assert_eq!(sink.now(), SimTime(42));

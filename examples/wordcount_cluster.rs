@@ -1,6 +1,6 @@
-//! The bare Hadoop substrate, without Redoop: a word-count job driven
-//! through the centralized [`JobTracker`] on the simulated cluster, with
-//! injected task failures and speculative execution.
+//! The bare Hadoop substrate, without Redoop: two word-count jobs run by
+//! [`JobRunner`] on one simulated cluster timeline, with injected task
+//! failures and speculative execution.
 //!
 //! ```text
 //! cargo run --release --example wordcount_cluster
@@ -9,8 +9,8 @@
 use bytes::Bytes;
 use redoop_dfs::{Cluster, DfsPath, NodeId};
 use redoop_mapred::{
-    ClosureMapper, ClosureReducer, ClusterSim, CostModel, JobConf, JobTracker, MapContext,
-    ReduceContext, SimTime, TaskKind,
+    ClosureMapper, ClosureReducer, ClusterSim, CostModel, FaultInjector, JobConf, JobRunner,
+    JobSpec, MapContext, ReduceContext, SimTime, TaskKind,
 };
 
 fn main() {
@@ -41,32 +41,33 @@ fn main() {
     }
     let reducer = ClosureReducer::new(sum);
 
-    let mut tracker =
-        JobTracker::new(&cluster, ClusterSim::paper_testbed(8, CostModel::default()));
+    // One slot timeline shared by every job: consecutive jobs contend
+    // for the same slots, like a cluster that never resets between jobs.
+    let mut sim = ClusterSim::paper_testbed(8, CostModel::default());
 
-    // Inject two failures into the first job's map 0 — the tracker
+    // Inject two failures into the first job's map 0 — the runner
     // retries the attempts transparently.
-    let doomed = tracker.next_job_name();
-    tracker.faults().fail_first_attempts(&doomed, TaskKind::Map, 0, 2);
+    let faults = FaultInjector::new();
+    faults.fail_first_attempts("wc1", TaskKind::Map, 0, 2);
+    let runner = JobRunner::new(&cluster, &mapper, &reducer).with_faults(&faults);
 
     let inputs: Vec<DfsPath> =
         (0..6).map(|p| DfsPath::new(format!("/corpus/part-{p}")).unwrap()).collect();
     let conf = JobConf { num_reducers: 4, speculative: true, ..Default::default() };
 
-    let (id, result) = tracker
-        .submit(&mapper, &reducer, inputs.clone(), DfsPath::new("/out/wc1").unwrap(), &conf, SimTime::ZERO)
-        .expect("job 1");
-    println!("\njob {id:?}: {}", result.metrics);
+    let job1 = JobSpec::new("wc1", inputs.clone(), DfsPath::new("/out/wc1").unwrap());
+    let result = runner.run(&mut sim, &job1, &conf, SimTime::ZERO).expect("job 1");
+    println!("\njob wc1: {}", result.metrics);
     println!(
         "  failed map attempts retried: {}",
         result.metrics.counters.get("FAILED_MAP_ATTEMPTS")
     );
 
-    // A second job queues on the same cluster timeline.
-    let (id2, result2) = tracker
-        .submit(&mapper, &reducer, inputs, DfsPath::new("/out/wc2").unwrap(), &conf, SimTime::ZERO)
-        .expect("job 2");
-    println!("job {id2:?}: {}", result2.metrics);
+    // A second job submitted at the same instant queues on the same
+    // cluster timeline.
+    let job2 = JobSpec::new("wc2", inputs, DfsPath::new("/out/wc2").unwrap());
+    let result2 = runner.run(&mut sim, &job2, &conf, SimTime::ZERO).expect("job 2");
+    println!("job wc2: {}", result2.metrics);
 
     // Show the top words from the first job's output.
     let mut counts: Vec<(String, u64)> = Vec::new();
@@ -84,5 +85,5 @@ fn main() {
     for (w, c) in counts.iter().take(5) {
         println!("  {w:<8} {c}");
     }
-    println!("\ncluster horizon (all slots quiet): {}", tracker.horizon());
+    println!("\ncluster horizon (all slots quiet): {}", sim.horizon());
 }

@@ -11,10 +11,13 @@ use std::sync::Arc;
 
 use common::*;
 use redoop_core::prelude::*;
+use redoop_core::RedoopError;
 use redoop_dfs::failure::{FailureEvent, FailurePlan};
 use redoop_dfs::{Cluster, NodeId};
+use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_mapred::{frame, SimTime};
 use redoop_workloads::arrival::ArrivalPlan;
+use redoop_workloads::ffg::Stream;
 use redoop_workloads::queries::{AggMapper, AggReducer};
 
 const WINDOWS: u64 = 8;
@@ -98,15 +101,49 @@ fn cache_loss_is_recovered_correctly_and_cheaply() {
     );
 }
 
-/// All framed `ro/` caches on the cluster after window 0: `(node, store
-/// name, blob length)` — at overlap .875, window 1 reuses all but one
-/// pane of them.
-fn framed_output_caches(cluster: &Cluster) -> Vec<(NodeId, String, usize)> {
+/// Query shape of a salvage scenario.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// WCC aggregation: framed `ro/` partial-aggregate caches.
+    Agg,
+    /// FFG binary join: framed `ri/` reduce-input caches.
+    Join,
+}
+
+impl Shape {
+    /// Store-name prefix of the shape's framed pane caches.
+    fn prefix(self) -> &'static str {
+        match self {
+            Shape::Agg => "ro/",
+            Shape::Join => "ri/",
+        }
+    }
+}
+
+/// Outcome of one salvage scenario run.
+struct SalvageRun {
+    /// Framed pane caches window 0 left behind: `(node, store name, blob
+    /// length)` — at overlap .875, window 1 reuses all but one pane of
+    /// them.
+    caches: Vec<(NodeId, String, usize)>,
+    /// Window 1's response.
+    response: SimTime,
+    /// Window 1's part files, byte for byte.
+    outputs: Vec<Vec<u8>>,
+    /// Salvage verdicts of the blobs damaged by `CorruptLocal` events.
+    scans: Vec<frame::SalvageSummary>,
+    /// The run's trace journal.
+    journal: TraceSink,
+}
+
+/// Every framed cache on the cluster whose store name starts with
+/// `prefix`, sorted.
+fn framed_caches(cluster: &Cluster, prefix: &str) -> Vec<(NodeId, String, usize)> {
     let mut all = Vec::new();
     for n in 0..cluster.node_count() as u32 {
         let node = NodeId(n);
         for name in cluster.list_local(node).unwrap() {
-            if !name.starts_with("ro/") {
+            if !name.starts_with(prefix) {
                 continue;
             }
             let blob = cluster.peek_local(node, &name).unwrap();
@@ -119,60 +156,78 @@ fn framed_output_caches(cluster: &Cluster) -> Vec<(NodeId, String, usize)> {
     all
 }
 
-/// Two-window salvage scenario at overlap .875: window 0 builds caches,
-/// `events` (if any) damage them before window 1 fires. Returns window
-/// 1's response, its output, and the salvage verdicts of blobs damaged
-/// by `CorruptLocal` events.
-fn run_salvage_scenario(
-    events: Option<Vec<FailureEvent>>,
-    seed: u64,
-) -> (SimTime, Vec<(String, u64)>, Vec<frame::SalvageSummary>) {
+/// Two-window salvage scenario at overlap .875 for `shape`: window 0
+/// builds caches, `events` damage them before window 1 fires.
+fn run_salvage_scenario(shape: Shape, events: &[FailureEvent], seed: u64) -> SalvageRun {
     let spec = spec_with_overlap(0.875);
     let plan = ArrivalPlan::new(spec, 2);
-    let batches = wcc_batches(&plan, seed, 1.0);
     let cluster = test_cluster();
-    let mut exec = agg_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
-    ingest_all(&mut exec, 0, &batches);
-    exec.run_window(0).unwrap();
-    let mut scans = Vec::new();
-    if let Some(evs) = events {
-        let mut fplan = FailurePlan::none();
-        for ev in &evs {
-            fplan = fplan.at(1, ev.clone());
+    let journal = TraceSink::enabled();
+    match shape {
+        Shape::Agg => {
+            let mut exec =
+                agg_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
+            exec.set_trace_sink(journal.clone());
+            ingest_all(&mut exec, 0, &wcc_batches(&plan, seed, 1.0));
+            salvage_windows(&mut exec, &cluster, shape, events, journal)
         }
-        fplan.apply(1, &cluster).unwrap();
-        for ev in &evs {
-            if let FailureEvent::CorruptLocal(node, name, ..) = ev {
-                let blob =
-                    cluster.peek_local(*node, name).expect("corruption leaves file behind");
-                scans.push(frame::salvage_scan(&blob));
-            }
+        Shape::Join => {
+            let mut exec =
+                join_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
+            exec.set_trace_sink(journal.clone());
+            ingest_all(&mut exec, 0, &ffg_batches(&plan, Stream::Position, seed, 1.0));
+            ingest_all(&mut exec, 1, &ffg_batches(&plan, Stream::Speed, seed + 1, 1.0));
+            salvage_windows(&mut exec, &cluster, shape, events, journal)
         }
     }
-    let report = exec.run_window(1).unwrap();
-    let out = read_window_output(&cluster, &report.outputs).unwrap();
-    (report.response, out, scans)
 }
 
-#[test]
-fn mid_blob_corruption_salvages_and_beats_full_rebuild() {
-    // Probe run: learn which framed caches window 0 leaves behind.
-    // Placement is deterministic, so the same set recurs in every run.
-    let caches = {
-        let spec = spec_with_overlap(0.875);
-        let plan = ArrivalPlan::new(spec, 2);
-        let batches = wcc_batches(&plan, 77, 1.0);
-        let cluster = test_cluster();
-        let mut exec =
-            agg_executor(&cluster, spec, "salvage", batch_adaptive(&cluster, &spec));
-        ingest_all(&mut exec, 0, &batches);
-        exec.run_window(0).unwrap();
-        framed_output_caches(&cluster)
-    };
-    assert!(!caches.is_empty(), "window 0 builds framed ro/ caches");
+fn salvage_windows<M, R>(
+    exec: &mut RecurringExecutor<M, R>,
+    cluster: &Cluster,
+    shape: Shape,
+    events: &[FailureEvent],
+    journal: TraceSink,
+) -> SalvageRun
+where
+    M: redoop_mapred::Mapper,
+    R: redoop_mapred::Reducer<KIn = M::KOut, VIn = M::VOut>,
+{
+    exec.run_window(0).unwrap();
+    let caches = framed_caches(cluster, shape.prefix());
+    let mut fplan = FailurePlan::none();
+    for ev in events {
+        fplan = fplan.at(1, ev.clone());
+    }
+    fplan.apply(1, cluster).unwrap();
+    let scans = events
+        .iter()
+        .filter_map(|ev| match ev {
+            FailureEvent::CorruptLocal(node, name, ..) => {
+                let blob =
+                    cluster.peek_local(*node, name).expect("corruption leaves file behind");
+                Some(frame::salvage_scan(&blob))
+            }
+            _ => None,
+        })
+        .collect();
+    let report = exec.run_window(1).unwrap();
+    exec.check_cache_accounting().unwrap();
+    let outputs = report.outputs.iter().map(|p| cluster.read(p).unwrap().to_vec()).collect();
+    SalvageRun { caches, response: report.response, outputs, scans, journal }
+}
 
-    // Damage every cache blob from 60% in to the end: torn-write
-    // suffixes. The frames before the damage stay salvageable.
+/// Damages every framed pane cache of `shape` from 60% in to the end —
+/// torn-write suffixes — before window 1, and checks the salvaged
+/// window against the clean run and a drop-everything full rebuild.
+fn check_suffix_salvage(shape: Shape, seed: u64) {
+    // Clean run: also learns which framed caches window 0 leaves behind.
+    // Placement is deterministic, so the same set recurs in every run.
+    let clean = run_salvage_scenario(shape, &[], seed);
+    let caches = &clean.caches;
+    assert!(!caches.is_empty(), "window 0 builds framed {} caches", shape.prefix());
+
+    // The frames before the damage stay salvageable.
     let corrupt: Vec<FailureEvent> = caches
         .iter()
         .map(|(n, name, len)| FailureEvent::CorruptLocal(*n, name.clone(), len * 3 / 5, *len))
@@ -180,10 +235,10 @@ fn mid_blob_corruption_salvages_and_beats_full_rebuild() {
     let drop: Vec<FailureEvent> =
         caches.iter().map(|(n, name, _)| FailureEvent::DropLocal(*n, name.clone())).collect();
 
-    let (partial_time, partial_out, scans) = run_salvage_scenario(Some(corrupt), 77);
-    assert_eq!(scans.len(), caches.len());
-    assert!(scans.iter().any(|s| s.total >= 2), "some caches span multiple frames");
-    for scan in &scans {
+    let partial = run_salvage_scenario(shape, &corrupt, seed);
+    assert_eq!(partial.scans.len(), caches.len());
+    assert!(partial.scans.iter().any(|s| s.total >= 2), "some caches span multiple frames");
+    for scan in &partial.scans {
         assert!(!scan.is_complete(), "suffix damage must be detected");
         // Every frame before the damaged region is recovered; the
         // missing set is exactly the damaged suffix.
@@ -194,24 +249,84 @@ fn mid_blob_corruption_salvages_and_beats_full_rebuild() {
         }
         assert_eq!(*missing.last().unwrap(), scan.total - 1);
     }
+    // The journal shows the audit's salvage verdicts and the
+    // partial-rebuild charges on this shape's caches.
+    let events = partial.journal.events();
+    let on_shape = |name: &str| name.starts_with(shape.prefix());
+    assert!(
+        events.iter().any(|e| matches!(e, TraceEvent::Salvage { name, .. } if on_shape(name))),
+        "no salvage verdict on {} caches",
+        shape.prefix()
+    );
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            TraceEvent::Cache { action: CacheAction::PartialRebuild, name, .. } if on_shape(name)
+        )),
+        "no partial rebuild of {} caches",
+        shape.prefix()
+    );
 
-    let (full_time, full_out, _) = run_salvage_scenario(Some(drop), 77);
-    let (clean_time, clean_out, _) = run_salvage_scenario(None, 77);
+    let full = run_salvage_scenario(shape, &drop, seed);
 
     // Rebuilds must reproduce the clean answer bit for bit.
-    assert_eq!(partial_out, clean_out, "salvaged rebuild must not change results");
-    assert_eq!(full_out, clean_out, "full rebuild must not change results");
+    assert_eq!(partial.outputs, clean.outputs, "salvaged rebuild must not change results");
+    assert_eq!(full.outputs, clean.outputs, "full rebuild must not change results");
 
     // Partial recovery rebuilds only the missing suffixes, so it lands
     // strictly between the clean window and the full rebuild.
-    assert!(
-        partial_time < full_time,
-        "salvage must beat full rebuild: partial {partial_time} vs full {full_time}"
-    );
-    assert!(
-        partial_time >= clean_time,
-        "salvage cannot beat undamaged caches: {partial_time} vs {clean_time}"
-    );
+    let (partial, full, clean) = (partial.response, full.response, clean.response);
+    assert!(partial < full, "salvage must beat full rebuild: partial {partial} vs full {full}");
+    assert!(partial >= clean, "salvage cannot beat undamaged caches: {partial} vs {clean}");
+}
+
+#[test]
+fn mid_blob_corruption_salvages_and_beats_full_rebuild() {
+    check_suffix_salvage(Shape::Agg, 77);
+}
+
+#[test]
+fn join_input_corruption_salvages_and_beats_full_rebuild() {
+    check_suffix_salvage(Shape::Join, 78);
+}
+
+#[test]
+fn undecodable_reused_pair_output_fails_the_window() {
+    // Pair outputs (`po/…`) are unframed text, so the heartbeat audit
+    // cannot see damage to them. A reused pair that no longer decodes
+    // must fail the window instead of silently dropping its records.
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, 2);
+    let cluster = test_cluster();
+    let mut exec = join_executor(&cluster, spec, "badpair", batch_adaptive(&cluster, &spec));
+    ingest_all(&mut exec, 0, &ffg_batches(&plan, Stream::Position, 91, 1.0));
+    ingest_all(&mut exec, 1, &ffg_batches(&plan, Stream::Speed, 92, 1.0));
+    exec.run_window(0).unwrap();
+
+    // Any non-empty pair of two panes both windows cover is reused.
+    let geom = PaneGeometry::from_spec(&spec);
+    let w1 = geom.window_panes(1);
+    let shared: Vec<u64> = geom.window_panes(0).filter(|p| w1.contains(p)).collect();
+    let prefixes: Vec<String> = shared
+        .iter()
+        .flat_map(|&p| shared.iter().map(move |&q| format!("po/p{p}x{q}/")))
+        .collect();
+    let (node, name, len) = (0..cluster.node_count() as u32)
+        .map(NodeId)
+        .flat_map(|n| cluster.list_local(n).unwrap().into_iter().map(move |name| (n, name)))
+        .filter(|(_, name)| prefixes.iter().any(|pre| name.starts_with(pre)))
+        .map(|(n, name)| {
+            let len = cluster.peek_local(n, &name).unwrap().len();
+            (n, name, len)
+        })
+        .find(|&(.., len)| len > 0)
+        .expect("window 0 leaves a non-empty reusable pair output");
+    // Flipping every byte of ASCII text yields bytes >= 0x80 and turns
+    // the newlines into 0xF5, which is never valid UTF-8.
+    cluster.corrupt_local(node, &name, 0, len).unwrap();
+
+    let err = exec.run_window(1).expect_err("a corrupt reused pair must fail the window");
+    assert!(matches!(err, RedoopError::CacheInconsistency(_)), "got {err:?}");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Host-time microbenchmarks of the hot components: shuffle sort/group,
 //! partitioning, the stable hash, the cache status matrix, pane packing,
-//! and line-file indexing. These measure *real* CPU time (unlike the
-//! figure benches, which surface simulated time).
+//! line-file indexing, and the pane-pair join. These measure *real* CPU
+//! time (unlike the figure benches, which surface simulated time).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use redoop_core::cache::status_matrix::CacheStatusMatrix;
@@ -10,7 +10,9 @@ use redoop_core::prelude::*;
 use redoop_core::PartitionPlan;
 use redoop_dfs::{Cluster, DfsPath};
 use redoop_mapred::hasher::stable_hash;
-use redoop_mapred::{exec, HashPartitioner, LineFile};
+use redoop_mapred::{exec, io as mrio, HashPartitioner, LineFile, Partitioner};
+use redoop_workloads::ffg::{FfgGenerator, Stream};
+use redoop_workloads::queries::{JoinMapper, JoinReducer};
 
 fn pairs(n: usize) -> Vec<(String, u64)> {
     (0..n).map(|i| (format!("key{}", (i * 2_654_435_761) % 997), i as u64)).collect()
@@ -95,6 +97,68 @@ fn bench_line_file(c: &mut Criterion) {
     });
 }
 
+/// One reduce partition (of 4) of an FFG join window: 8 panes per
+/// stream, each pane's partition stored as a sorted, framed reduce-input
+/// run — the blobs a window's 8×8 pane-pair joins read.
+fn ffg_partition_runs() -> [Vec<bytes::Bytes>; 2] {
+    let pane_ms = 250_000;
+    let mut generator = FfgGenerator::new(2014, 16, 0.002);
+    [Stream::Position, Stream::Speed].map(|stream| {
+        (0..8u64)
+            .map(|pane| {
+                let range =
+                    TimeRange::new(EventTime(pane * pane_ms), EventTime((pane + 1) * pane_ms));
+                let lines = generator.batch(stream, &range, 1.0);
+                let (pairs, _) = exec::run_mapper(&JoinMapper, lines.iter().map(String::as_str));
+                let part: Vec<_> = pairs
+                    .into_iter()
+                    .filter(|(k, _)| HashPartitioner.partition(k, 4) == 0)
+                    .collect();
+                let run = exec::sort_group(part);
+                bytes::Bytes::from(mrio::encode_framed_grouped_block(&run, pane, 0))
+            })
+            .collect()
+    })
+}
+
+fn bench_pair_join(c: &mut Criterion) {
+    let [left, right] = ffg_partition_runs();
+    type Run = mrio::GroupedBlock<
+        <JoinMapper as redoop_mapred::Mapper>::KOut,
+        <JoinMapper as redoop_mapred::Mapper>::VOut,
+    >;
+    let decode = |blob: &bytes::Bytes| -> Run { mrio::decode_grouped_block_any(blob).unwrap() };
+    // Every pair decodes both runs, merges them into one copy, reduces.
+    c.bench_function("join/pair_8x8_decode_merge_reduce", |b| {
+        b.iter(|| {
+            let mut emitted = 0;
+            for l in &left {
+                for r in &right {
+                    let merged =
+                        exec::merge_sorted_groups(vec![decode(l).grouped, decode(r).grouped]);
+                    emitted += exec::run_reducer(&JoinReducer, &merged).0.len();
+                }
+            }
+            emitted
+        })
+    });
+    // Runs decoded once; every pair merge-reduces them by reference.
+    let (left, right): (Vec<Run>, Vec<Run>) =
+        (left.iter().map(decode).collect(), right.iter().map(decode).collect());
+    c.bench_function("join/pair_8x8_reduce_sorted_pair", |b| {
+        b.iter(|| {
+            let mut emitted = 0;
+            for l in &left {
+                for r in &right {
+                    let (out, _) = exec::reduce_sorted_pair(&JoinReducer, &l.grouped, &r.grouped);
+                    emitted += out.len();
+                }
+            }
+            emitted
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_sort_group,
@@ -102,6 +166,7 @@ criterion_group!(
     bench_stable_hash,
     bench_status_matrix,
     bench_packer,
-    bench_line_file
+    bench_line_file,
+    bench_pair_join
 );
 criterion_main!(benches);

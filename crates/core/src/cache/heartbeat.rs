@@ -74,10 +74,9 @@ impl LocalCacheRegistry {
                 lost.push(name);
                 continue;
             };
-            let (ptr, len) = (blob.as_ptr() as usize, blob.len());
             // An unchanged blob was already audited by an earlier
             // heartbeat; skip re-checksumming it.
-            if self.blob_verified(&name, ptr, len) {
+            if self.blob_verified(&name, &blob) {
                 held.push(name);
                 continue;
             }
@@ -89,14 +88,14 @@ impl LocalCacheRegistry {
             }
             // Intact framed blob, or a legacy/opaque blob (no embedded
             // checksums — existence is the whole audit, as before).
-            verified.push((name, ptr, len));
+            verified.push((name, blob));
             held.push(name);
         }
         for name in lost {
             self.drop_entry(&name);
         }
-        for (name, ptr, len) in verified {
-            self.remember_verified(name, ptr, len);
+        for (name, blob) in verified {
+            self.remember_verified(name, blob);
         }
         // Probes are reads (store epoch unchanged) and the drops above
         // already advanced the registry version, so recording the pair

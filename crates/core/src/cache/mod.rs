@@ -12,6 +12,16 @@ pub mod status_matrix;
 
 use crate::pane::PaneId;
 
+/// Whether `stored` is the very blob `held` is a clone of. Stored blobs
+/// are immutable `Bytes`, so sharing the allocation (same start pointer
+/// and length) proves identical content without reading a byte. The
+/// proof needs `held` itself: only a live clone keeps the allocation
+/// from being freed and its address reused by a later blob of the same
+/// length, so callers keep the `Bytes`, never just its pointer.
+pub(crate) fn same_blob(held: &bytes::Bytes, stored: &bytes::Bytes) -> bool {
+    held.as_ptr() == stored.as_ptr() && held.len() == stored.len()
+}
+
 /// What a cached object holds. Redoop caches at two stages of a job
 /// (paper §4): reduce *input* (shuffled, sorted pane partitions) and
 /// reduce *output* (per-pane aggregates or per-pane-pair join results).

@@ -8,12 +8,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use bytes::Bytes;
 use redoop_dfs::{Cluster, NodeId};
 use redoop_mapred::hasher::FastMap;
 use redoop_mapred::trace::{self, CacheAction, TraceEvent, TraceSink};
 
 use super::policy::PurgePolicy;
-use super::{CacheKind, CacheName};
+use super::{same_blob, CacheKind, CacheName};
 use crate::error::Result;
 
 /// One registry row (paper Table 1: pid, type, expiration).
@@ -45,11 +46,12 @@ pub struct LocalCacheRegistry {
     /// Names of currently expired entries — the purge scan's working
     /// set, name-sorted like the full-table scan it replaces.
     expired: BTreeSet<CacheName>,
-    /// `(blob ptr, blob len)` of the last store blob verified intact per
-    /// entry. `Bytes` blobs are immutable once stored, so an unchanged
-    /// pointer proves unchanged content and lets the heartbeat's content
-    /// audit skip re-checksumming — verification stays O(changed blobs).
-    verified_blobs: FastMap<CacheName, (usize, usize)>,
+    /// A clone of the last store blob verified intact per entry. An
+    /// unchanged blob ([`same_blob`]) lets the heartbeat's content audit
+    /// skip re-checksumming, so verification stays O(changed blobs).
+    /// Holding the clone is what makes the identity check sound; the
+    /// memo drops it when the entry is re-added, purged or lost.
+    verified_blobs: FastMap<CacheName, Bytes>,
     /// Running total of unexpired entry bytes.
     live_bytes: u64,
     trace: TraceSink,
@@ -84,15 +86,20 @@ impl LocalCacheRegistry {
         self.last_verified = Some((epoch, self.version));
     }
 
-    /// Whether `(ptr, len)` matches the blob last verified intact for
-    /// `name` (pointer identity: same `Bytes` allocation, same content).
-    pub(crate) fn blob_verified(&self, name: &CacheName, ptr: usize, len: usize) -> bool {
-        self.verified_blobs.get(name) == Some(&(ptr, len))
+    /// Whether `blob` is the very blob last verified intact for `name`.
+    pub(crate) fn blob_verified(&self, name: &CacheName, blob: &Bytes) -> bool {
+        self.verified_blobs.get(name).is_some_and(|held| same_blob(held, blob))
     }
 
-    /// Remembers `(ptr, len)` as verified intact for `name`.
-    pub(crate) fn remember_verified(&mut self, name: CacheName, ptr: usize, len: usize) {
-        self.verified_blobs.insert(name, (ptr, len));
+    /// Remembers `blob` as verified intact for `name`.
+    pub(crate) fn remember_verified(&mut self, name: CacheName, blob: Bytes) {
+        self.verified_blobs.insert(name, blob);
+    }
+
+    /// Number of blobs the heartbeat memo holds.
+    #[cfg(test)]
+    pub(crate) fn verified_memo_len(&self) -> usize {
+        self.verified_blobs.len()
     }
 
     /// Routes this registry's purge events to an explicit sink.
@@ -119,6 +126,8 @@ impl LocalCacheRegistry {
             Some(p) => self.live_bytes -= p.bytes,
             None => {}
         }
+        // A re-added entry names a newly stored blob.
+        self.verified_blobs.remove(&name);
         self.live_bytes += bytes;
         self.version += 1;
         self.debug_check_counters();
@@ -234,6 +243,7 @@ impl LocalCacheRegistry {
             let _ = cluster.delete_local(self.node, &name.store_name())?;
             let entry = self.entries.remove(name);
             self.expired.remove(name);
+            self.verified_blobs.remove(name);
             self.version += 1;
             self.trace.emit(|| TraceEvent::Cache {
                 at: self.trace.now(),
@@ -272,7 +282,6 @@ mod tests {
     use super::*;
     use crate::cache::CacheObject;
     use crate::pane::PaneId;
-    use bytes::Bytes;
 
     fn name(p: u64) -> CacheName {
         CacheName::new(CacheObject::PaneInput { source: 0, pane: PaneId(p), sub: 0 }, 0)
@@ -428,6 +437,33 @@ mod tests {
         reg.mark_expired(&name(1));
         assert_eq!(reg.live_bytes(), 150);
         assert_eq!(reg.live_bytes(), sum_of(&reg));
+    }
+
+    #[test]
+    fn heartbeat_memo_forgets_purged_and_readded_blobs() {
+        let cluster = Cluster::with_nodes(1);
+        let mut reg = LocalCacheRegistry::new(NodeId(0), PurgePolicy::default());
+        let put = |p: u64| {
+            let blob = Bytes::from(format!("blob {p}"));
+            cluster.put_local(NodeId(0), name(p).store_name(), blob.clone()).unwrap();
+            blob
+        };
+        let first = put(0);
+        reg.add_entry(name(0), 1);
+        reg.heartbeat(&cluster);
+        assert!(reg.blob_verified(&name(0), &first));
+        // Equal content in a new allocation is not the verified blob.
+        assert!(!reg.blob_verified(&name(0), &Bytes::from(first.to_vec())));
+        // Re-adding the entry names a new blob: the memo lets go.
+        put(0);
+        reg.add_entry(name(0), 1);
+        assert_eq!(reg.verified_memo_len(), 0);
+        reg.heartbeat(&cluster);
+        assert_eq!(reg.verified_memo_len(), 1);
+        // A purged name leaves no memo entry behind.
+        reg.mark_expired(&name(0));
+        reg.purge_expired(&cluster).unwrap();
+        assert_eq!(reg.verified_memo_len(), 0);
     }
 
     #[test]

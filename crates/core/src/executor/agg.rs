@@ -34,6 +34,7 @@ where
         let groups = exec::sort_group(pairs);
         let (out_pairs, _) = exec::run_reducer(reducer, &groups);
         let cache_text_bytes = mrio::kv_block_text_bytes(&out_pairs);
+        let output_records = out_pairs.len() as u64;
         // Merged partials are re-read under the mapper's key type (see
         // module docs: the reducer's output key must share its textual
         // form). When the reducer's key type *is* the mapper's — true for
@@ -67,6 +68,7 @@ where
             input_records,
             shuffle_text_bytes: bucket.text_bytes,
             cache_text_bytes,
+            output_records,
             blob,
         })
     }
@@ -160,6 +162,11 @@ where
         }
         // Pane partials and the merged window totals are aggregate
         // records: "pane-based rather than tuple-based" (paper §6.2.1).
-        Ok(Finale { ready, cache_bytes, aggregate_records: partial_records + output_records, out })
+        Ok(Finale {
+            ready,
+            cache_bytes,
+            aggregate_records: partial_records + output_records,
+            out: out.into_bytes(),
+        })
     }
 }

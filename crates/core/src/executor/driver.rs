@@ -139,6 +139,9 @@ pub(super) struct BuiltCache {
     pub(super) input_records: u64,
     pub(super) shuffle_text_bytes: u64,
     pub(super) cache_text_bytes: u64,
+    /// Records the build's reducer emitted (0 for input caches, which
+    /// run no reducer); a pair output's build charges them.
+    pub(super) output_records: u64,
     pub(super) blob: bytes::Bytes,
 }
 
@@ -157,18 +160,6 @@ fn scale_partial_rebuild(work: &mut ReduceWork, intact: u32, total: u32) {
     work.shuffle_bytes = work.shuffle_bytes * miss / total;
     work.input_records = work.input_records * miss / total;
     work.local_output_bytes = work.local_output_bytes * miss / total;
-}
-
-/// Decodes a pair-output blob into its text and record count. Pair
-/// outputs are unframed text, so the heartbeat audit cannot see damage
-/// to them: an undecodable blob is an error, never silently dropped
-/// records.
-pub(super) fn pair_text<'b>(name: &CacheName, blob: &'b [u8]) -> Result<(&'b str, u64)> {
-    let text = std::str::from_utf8(blob).map_err(|e| {
-        let name = name.store_name();
-        RedoopError::CacheInconsistency(format!("pair output {name} is not text: {e}"))
-    })?;
-    Ok((text, text.lines().count() as u64))
 }
 
 /// Window-level dispatch context threaded through the driver.
@@ -197,8 +188,6 @@ pub(super) struct PartitionPrep {
     /// Missing pane pairs in plan (left-major) order: the pair-output
     /// cache each builds and its `(left, right)` panes.
     pub(super) todo_pairs: Vec<(CacheName, PaneId, PaneId)>,
-    /// Set twin of `todo_pairs`.
-    pub(super) todo_set: HashSet<(u64, u64)>,
     /// Panes whose `FoldDelta` node hit a sealed delta (`rd/…`) cache on
     /// the anchor — the merge reads those under the delta name.
     pub(super) delta_hits: HashSet<u64>,
@@ -249,27 +238,27 @@ pub(super) struct Finale {
     pub(super) cache_bytes: u64,
     /// Aggregate records the task merges or copies.
     pub(super) aggregate_records: u64,
-    /// The window part file.
-    pub(super) out: String,
+    /// The window part file (text).
+    pub(super) out: Vec<u8>,
 }
 
 /// Reduce work of building one product in its own task: pane products
 /// pay their shuffle and sort, pair outputs emit their join records and
 /// stream `cache_bytes` of old inputs.
-fn build_work(name: &CacheName, built: &BuiltCache, cache_bytes: u64) -> Result<ReduceWork> {
+fn build_work(name: &CacheName, built: &BuiltCache, cache_bytes: u64) -> ReduceWork {
     let mut work = ReduceWork {
         cache_bytes,
         local_output_bytes: built.cache_text_bytes,
         ..Default::default()
     };
     match name.object {
-        CacheObject::PairOutput { .. } => work.output_records = pair_text(name, &built.blob)?.1,
+        CacheObject::PairOutput { .. } => work.output_records = built.output_records,
         _ => {
             work.shuffle_bytes = built.shuffle_text_bytes;
             work.input_records = built.input_records;
         }
     }
-    Ok(work)
+    work
 }
 
 /// Task label of a batch build of `name` in recurrence `rec`.
@@ -447,7 +436,7 @@ where
                 map_ready.insert((entry.source, entry.pane.0), t);
             }
         }
-        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, todo_set, delta_hits, map_ready })
+        Ok(PartitionPrep { node, missing, missing_set, todo_pairs, delta_hits, map_ready })
     }
 
     // ------------------------------------------------------------------
@@ -459,6 +448,8 @@ where
     /// chain. The pure compute runs on parallel host threads; the chain
     /// charges the products in plan order, each as the next item of the
     /// reduce attempt (batch) or as per-sub-pane early tasks (proactive).
+    /// Every reduce-input run also enters the run table with the blob
+    /// the chain stores, so the window's pair joins read it decoded.
     fn build_pane_products(
         &mut self,
         plan: &WindowPlan,
@@ -467,7 +458,8 @@ where
         attempt: &mut Attempt,
         metrics: &mut JobMetrics,
     ) -> Result<()> {
-        let computed: Vec<Result<BuiltCache>> = {
+        type Built<K, V> = (BuiltCache, Option<mrio::GroupedBlock<K, V>>);
+        let computed: Vec<Result<Built<M::KOut, M::VOut>>> = {
             let mapped = &self.mapped;
             let reducer = &*self.reducer;
             exec::parallel_map(prep.missing.len(), |i| {
@@ -477,22 +469,31 @@ where
                 let raw = m.raw[r].lock().expect("raw pairs lock").clone();
                 Ok(match name.object {
                     CacheObject::PaneInput { .. } => {
-                        Self::input_cache_compute(&m.buckets[r], raw, p.0, r as u32)
+                        let (built, run) =
+                            Self::input_cache_compute(&m.buckets[r], raw, p.0, r as u32);
+                        Ok((built, Some(run)))
                     }
-                    _ => Self::pane_output_compute(&m.buckets[r], raw, reducer, p.0, r as u32),
+                    _ => Self::pane_output_compute(&m.buckets[r], raw, reducer, p.0, r as u32)
+                        .map(|built| (built, None)),
                 })
             })?
         };
-        let tasks = prep.missing.iter().zip(computed).map(|(&(name, s, p), built)| {
-            let charge = match ctx.mode {
-                ExecMode::Batch => Charge::Attempt {
-                    gate: prep.map_ready.get(&(s, p.0)).copied().unwrap_or(ctx.floor),
-                    cache_bytes: 0,
-                },
-                ExecMode::Proactive => Charge::Subpanes,
-            };
-            Ok(ChainTask { products: vec![(name, built?)], charge })
-        });
+        let mut tasks = Vec::with_capacity(computed.len());
+        for (&(name, s, p), out) in prep.missing.iter().zip(computed) {
+            tasks.push(out.map(|(built, run)| {
+                if let Some(run) = run {
+                    self.runs.insert(name, built.blob.clone(), run);
+                }
+                let charge = match ctx.mode {
+                    ExecMode::Batch => Charge::Attempt {
+                        gate: prep.map_ready.get(&(s, p.0)).copied().unwrap_or(ctx.floor),
+                        cache_bytes: 0,
+                    },
+                    ExecMode::Proactive => Charge::Subpanes,
+                };
+                ChainTask { products: vec![(name, built)], charge }
+            }));
+        }
         self.build_chain(plan.recurrence, prep.node, ctx, attempt, tasks, metrics)
     }
 
@@ -527,7 +528,7 @@ where
                 Charge::Attempt { gate, cache_bytes } => {
                     let (name, built) = &products[0];
                     let ready = ctx.fire.max(attempt.prev_end).max(gate);
-                    let work = build_work(name, built, cache_bytes)?;
+                    let work = build_work(name, built, cache_bytes);
                     vec![(ready, work, build_label(rec, name), !attempt.started)]
                 }
                 Charge::Subpanes => {
@@ -553,7 +554,7 @@ where
                 Charge::Early { ready } => {
                     let mut work = ReduceWork::default();
                     for (name, built) in &products {
-                        let w = build_work(name, built, 0)?;
+                        let w = build_work(name, built, 0);
                         work.output_records += w.output_records;
                         work.local_output_bytes += w.local_output_bytes;
                     }
@@ -1196,6 +1197,10 @@ where
         }
 
         layer.purge(&self.cluster, rec)?;
+        // Run-table entries live no longer than their caches' residency:
+        // runs retired, evicted, refused or lost above or during the
+        // window leave with the window that last read them.
+        self.runs.retain(|name| layer.controller.location(name).is_some());
         drop(layer);
         // GC the scheduler's dedupe sets: without this, `map_seen` /
         // `reduce_seen` grow by one entry per pane (and pane pair) for

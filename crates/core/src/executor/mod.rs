@@ -203,6 +203,9 @@ where
     adaptive: AdaptiveController,
     scheduler: CacheAwareScheduler,
     mapped: HashMap<(u32, u64), MappedPane<M::KOut, M::VOut>>,
+    /// Decoded reduce-input runs the pair joins read (see
+    /// [`join::RunTable`]); pruned to resident caches after each window.
+    runs: join::RunTable<M::KOut, M::VOut>,
     /// Rendered store names, interned per cache identity: lookups on the
     /// hot path (local-store reads) reuse one allocation instead of
     /// re-`format!`ing per probe.
@@ -442,6 +445,7 @@ where
             adaptive,
             scheduler: CacheAwareScheduler,
             mapped: HashMap::new(),
+            runs: join::RunTable::new(),
             interned: HashMap::new(),
             delta: delta::DeltaMaintenance::new(num_reducers),
             built_panes: BTreeSet::new(),
@@ -975,6 +979,87 @@ mod tests {
         let untraced = run(false);
         assert_eq!(traced.len(), 6);
         assert_eq!(traced, untraced, "shortlist placement must match the full scan");
+    }
+
+    #[test]
+    fn run_table_and_heartbeat_memo_follow_residency_over_a_long_join() {
+        use crate::cache::policy::{CacheBudget, CachePolicyKind};
+        use crate::pane::PaneGeometry;
+        use redoop_mapred::trace::CacheAction;
+        use crate::time::{EventTime, TimeRange};
+        use redoop_workloads::queries::{JoinMapper, JoinReducer};
+
+        // A 200-window FFG join whose cost-based budget is tight enough
+        // that reduce-input runs are evicted and rebuilt along the way.
+        const WINDOWS: u64 = 200;
+        let cluster = Cluster::with_nodes(4);
+        let spec = WindowSpec::with_overlap(2_000_000, 0.875).unwrap();
+        let pane_ms = PaneGeometry::from_spec(&spec).pane_ms;
+        let source = |name: &str| {
+            SourceConf::with_leading_ts(name, spec, DfsPath::new(format!("/panes/{name}")).unwrap())
+        };
+        let mut exec = RecurringExecutor::binary_join(
+            &cluster,
+            ClusterSim::paper_testbed(4, CostModel::scaled(2_000.0)),
+            QueryConf::new("j", 2, DfsPath::new("/out/j").unwrap()).unwrap(),
+            [source("pos"), source("spd")],
+            Arc::new(JoinMapper),
+            Arc::new(JoinReducer),
+            AdaptiveController::disabled(
+                SemanticAnalyzer::new(16 * 1024),
+                PartitionPlan::simple(pane_ms),
+            ),
+        )
+        .unwrap();
+        exec.set_cache_policy(CacheBudget::bounded(CachePolicyKind::CostBased, 1_500));
+        let journal = TraceSink::enabled();
+        exec.set_trace_sink(journal.clone());
+        // FFG-shaped streams, one slide per batch: every 5 s one of six
+        // players reports a position and a speed.
+        let slide = spec.slide;
+        for batch in 0..(spec.win / slide + WINDOWS) {
+            let (lo, hi) = (batch * slide, (batch + 1) * slide);
+            let ts = (lo..hi).step_by(5_000);
+            let player = |t: u64| t / 5_000 % 6;
+            let pos: Vec<String> = ts
+                .clone()
+                .map(|t| format!("{t},p{},pos,{},{}", player(t), t % 97, t % 89))
+                .collect();
+            let spd: Vec<String> =
+                ts.map(|t| format!("{t},p{},spd,{}", player(t), t % 31)).collect();
+            let range = TimeRange::new(EventTime(lo), EventTime(hi));
+            exec.ingest(0, pos.iter().map(String::as_str), &range).unwrap();
+            exec.ingest(1, spd.iter().map(String::as_str), &range).unwrap();
+        }
+
+        let mut peak_held = 0;
+        for w in 0..WINDOWS {
+            exec.run_window(w).unwrap();
+            let layer = exec.cache.lock();
+            // Every held run is a resident cache, held with the very
+            // blob its node stores.
+            for (name, held) in exec.runs.held() {
+                let node = layer.controller.location(name).expect("held runs are resident");
+                let stored = cluster.peek_local(node, &name.store_name()).unwrap();
+                assert!(crate::cache::same_blob(held, &stored), "window {w}: stale {name:?}");
+            }
+            peak_held = peak_held.max(exec.runs.held().count());
+            // The heartbeat memo never outlives the registry's entries.
+            for reg in &layer.registries {
+                assert!(reg.verified_memo_len() <= reg.len(), "window {w}: memo leaks");
+            }
+        }
+        assert!(peak_held > 0, "the joins read held runs");
+        // Both ways out of the table were exercised: runs were evicted
+        // under the budget and retired at expiry.
+        let runs_left = |wanted: CacheAction| {
+            journal.events().iter().any(|e| {
+                matches!(e, TraceEvent::Cache { action, name, .. }
+                    if *action == wanted && name.starts_with("ri/"))
+            })
+        };
+        assert!(runs_left(CacheAction::Evict), "no reduce-input run was evicted");
+        assert!(runs_left(CacheAction::Forget), "no reduce-input run was retired");
     }
 
     #[test]

@@ -129,6 +129,49 @@ pub fn run_reducer<R: Reducer>(
     (ctx.into_pairs(), groups.records())
 }
 
+/// Runs `reducer` over the merge of two strictly sorted runs without
+/// building the merged run: keys are visited in order, a key held by one
+/// run reaches the reducer as a slice of that run, and a key held by
+/// both as its left values then its right values, concatenated in one
+/// reused scratch vector. Output and record count are identical to
+/// `run_reducer(reducer, &merge_sorted_groups(vec![left, right]))`.
+#[allow(clippy::type_complexity)]
+pub fn reduce_sorted_pair<R: Reducer>(
+    reducer: &R,
+    left: &Grouped<R::KIn, R::VIn>,
+    right: &Grouped<R::KIn, R::VIn>,
+) -> (Vec<(R::KOut, R::VOut)>, u64) {
+    let mut ctx = ReduceContext::new();
+    let mut both: Vec<R::VIn> = Vec::new();
+    let (mut l, mut r) = (left.iter().peekable(), right.iter().peekable());
+    loop {
+        let order = match (l.peek(), r.peek()) {
+            (Some((lk, _)), Some((rk, _))) => lk.cmp(rk),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => break,
+        };
+        match order {
+            std::cmp::Ordering::Less => {
+                let (key, values) = l.next().expect("peeked");
+                reducer.reduce(key, values, &mut ctx);
+            }
+            std::cmp::Ordering::Greater => {
+                let (key, values) = r.next().expect("peeked");
+                reducer.reduce(key, values, &mut ctx);
+            }
+            std::cmp::Ordering::Equal => {
+                let ((key, lv), (_, rv)) = (l.next().expect("peeked"), r.next().expect("peeked"));
+                both.clear();
+                both.extend_from_slice(lv);
+                both.extend_from_slice(rv);
+                reducer.reduce(key, &both, &mut ctx);
+            }
+        }
+    }
+    (ctx.into_pairs(), left.records() + right.records())
+}
+
 /// Host worker-count override: 0 means "use available parallelism".
 static HOST_PARALLELISM: AtomicUsize = AtomicUsize::new(0);
 

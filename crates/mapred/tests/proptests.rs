@@ -361,3 +361,43 @@ proptest! {
         prop_assert_eq!(scaled.aggregate_cpu(records), base.aggregate_cpu(records));
     }
 }
+
+/// A strictly sorted run from arbitrary `(key, values)` draws: keys are
+/// deduplicated (first draw wins) and sorted, values kept in draw order.
+fn sorted_run(mut groups: Vec<(u8, Vec<u32>)>) -> redoop_mapred::Grouped<u8, u32> {
+    groups.sort_by_key(|g| g.0);
+    groups.dedup_by_key(|g| g.0);
+    let mut run = redoop_mapred::Grouped::new();
+    for (k, vs) in groups {
+        run.push_group(k, vs);
+    }
+    run
+}
+
+/// Emits the group's size and an order-sensitive fold of its values, so
+/// any reordering of a key's values changes the output.
+#[allow(clippy::ptr_arg)]
+fn order_sensitive(k: &u8, vs: &[u32], ctx: &mut redoop_mapred::ReduceContext<u8, u64>) {
+    ctx.emit(*k, vs.len() as u64);
+    ctx.emit(*k, vs.iter().fold(17u64, |acc, &v| acc.wrapping_mul(31).wrapping_add(v as u64)));
+}
+
+/// Up to 12 `(key, values)` draws over a 24-key space, so two runs share
+/// some keys and hold others alone; zero draws make an empty run.
+fn run_draws() -> impl Strategy<Value = Vec<(u8, Vec<u32>)>> {
+    proptest::collection::vec((0u8..24, proptest::collection::vec(any::<u32>(), 1..4)), 0..12)
+}
+
+proptest! {
+    #[test]
+    fn reduce_sorted_pair_matches_merge_then_reduce(left in run_draws(), right in run_draws()) {
+        let reducer = redoop_mapred::ClosureReducer::new(
+            order_sensitive as fn(&u8, &[u32], &mut redoop_mapred::ReduceContext<u8, u64>),
+        );
+        let (l, r) = (sorted_run(left), sorted_run(right));
+        prop_assert!(l.is_strictly_sorted() && r.is_strictly_sorted());
+        let by_ref = exec::reduce_sorted_pair(&reducer, &l, &r);
+        let merged = exec::run_reducer(&reducer, &exec::merge_sorted_groups(vec![l, r]));
+        prop_assert_eq!(by_ref, merged);
+    }
+}

@@ -18,7 +18,8 @@ use redoop_mapred::trace::{CacheAction, TraceEvent, TraceSink};
 use redoop_mapred::{frame, SimTime};
 use redoop_workloads::arrival::ArrivalPlan;
 use redoop_workloads::ffg::Stream;
-use redoop_workloads::queries::{AggMapper, AggReducer};
+use redoop_core::cache::CacheObject;
+use redoop_workloads::queries::{AggMapper, AggReducer, JoinMapper, JoinReducer};
 
 const WINDOWS: u64 = 8;
 
@@ -327,6 +328,82 @@ fn undecodable_reused_pair_output_fails_the_window() {
 
     let err = exec.run_window(1).expect_err("a corrupt reused pair must fail the window");
     assert!(matches!(err, RedoopError::CacheInconsistency(_)), "got {err:?}");
+}
+
+/// Part files of every window of a four-window FFG join at overlap .875
+/// under a tight cost-based budget. With `corrupt`, every resident
+/// reduce-input run — each one built or read by an earlier window, so
+/// held decoded by the executor — gets one byte flipped mid-blob before
+/// windows 2 and 3 fire.
+fn budgeted_join_outputs(corrupt: bool) -> Vec<Vec<Vec<u8>>> {
+    const JOIN_WINDOWS: u64 = 4;
+    let spec = spec_with_overlap(0.875);
+    let plan = ArrivalPlan::new(spec, JOIN_WINDOWS);
+    let pos = ffg_batches(&plan, Stream::Position, 95, 1.0);
+    let spd = ffg_batches(&plan, Stream::Speed, 96, 1.0);
+    let cluster = test_cluster();
+    let mut exec = join_executor(&cluster, spec, "heldruns", batch_adaptive(&cluster, &spec));
+    exec.set_cache_policy(CacheBudget::bounded(CachePolicyKind::CostBased, 14_586));
+    ingest_all(&mut exec, 0, &pos);
+    ingest_all(&mut exec, 1, &spd);
+    let mut files = baseline_inputs(&cluster, "/batches/heldruns-pos", &pos);
+    files.extend(baseline_inputs(&cluster, "/batches/heldruns-spd", &spd));
+    let out_root = redoop_dfs::DfsPath::new("/out/heldruns-base").unwrap();
+    let mut sim = test_sim(&cluster);
+
+    let mut outputs = Vec::new();
+    let mut evictions = 0;
+    for w in 0..JOIN_WINDOWS {
+        if corrupt && w >= 2 {
+            let resident: Vec<(NodeId, String)> = {
+                let controller = exec.controller();
+                controller
+                    .all_cached()
+                    .into_iter()
+                    .filter(|n| matches!(n.object, CacheObject::PaneInput { .. }))
+                    .map(|n| (controller.location(&n).unwrap(), n.store_name()))
+                    .collect()
+            };
+            assert!(!resident.is_empty(), "window {w}: reduce-input runs stay resident");
+            for (node, name) in resident {
+                let len = cluster.peek_local(node, &name).unwrap().len();
+                assert!(cluster.corrupt_local(node, &name, len / 2, 1).unwrap());
+            }
+        }
+        let report = exec.run_window(w).unwrap();
+        exec.check_cache_accounting().unwrap();
+        evictions += report.trace.evictions;
+        let baseline = redoop_core::run_baseline_window(
+            &cluster,
+            &mut sim,
+            Arc::new(JoinMapper),
+            &JoinReducer,
+            leading_ts_fn(),
+            &spec,
+            w,
+            &files,
+            4,
+            &out_root,
+            None,
+        )
+        .unwrap();
+        let got: Vec<(String, String)> = read_window_output(&cluster, &report.outputs).unwrap();
+        let want: Vec<(String, String)> =
+            read_window_output(&cluster, &baseline.outputs).unwrap();
+        assert!(!got.is_empty(), "window {w}: the join produces matches");
+        assert_eq!(got, want, "window {w}: outputs must match the recompute oracle");
+        outputs.push(report.outputs.iter().map(|p| cluster.read(p).unwrap().to_vec()).collect());
+    }
+    assert!(evictions > 0, "the budget must evict");
+    outputs
+}
+
+#[test]
+fn corrupt_held_join_input_under_budget_matches_clean_run_and_oracle() {
+    // Joins read reduce-input runs they already hold decoded only while
+    // the stored blob is the one they hold: a damaged replacement must
+    // never be answered from the held copy, nor change any output bit.
+    assert_eq!(budgeted_join_outputs(true), budgeted_join_outputs(false));
 }
 
 #[test]
